@@ -44,6 +44,7 @@ from .lattice import (
     find_a,
     index_in,
     lattice_sum,
+    scaled_ints,
     shell,
     sublattice_K,
 )
@@ -146,16 +147,6 @@ class _Accumulator:
         return out
 
 
-def _doubled_vec(v: Sequence) -> Gamma:
-    out = []
-    for x in v:
-        d = 2 * Fraction(x)
-        if d.denominator != 1:
-            raise ValueError("exponent coordinates must be half-integral")
-        out.append(int(d))
-    return tuple(out)
-
-
 class FockSpace:
     """Weight <= 2 Fock sector of an even lattice with a fixed cocycle."""
 
@@ -174,7 +165,7 @@ class FockSpace:
         return FockState({((), self._zero): ONE})
 
     def exp_state(self, gamma: Sequence, coeff=1) -> FockState:
-        g2 = _doubled_vec(gamma)
+        g2 = scaled_ints(gamma, 2)
         self._mask_pair(g2)  # membership check
         if Q(sum(x * x for x in g2), 8) > 2:
             raise WeightOverflowError("exponent norm exceeds the weight cap")
@@ -261,7 +252,7 @@ class FockSpace:
     def exp_mode(self, beta: Sequence, n: int, s: FockState) -> FockState:
         if n < -1:
             raise ValueError("exp modes are supported for n >= -1")
-        beta2 = _doubled_vec(beta)
+        beta2 = scaled_ints(beta, 2)
         self._mask_pair(beta2)
         out = _Accumulator()
         for mono, c in s.terms.items():
@@ -496,7 +487,7 @@ class FockSpace:
     def rho_twist(self, a: Sequence, k: int, s: FockState) -> FockState:
         if self.dim != 3 * len(tuple(a)):
             raise ValueError("twist vector must live in one block of a triple sum")
-        a2 = _doubled_vec(a)
+        a2 = scaled_ints(a, 2)
         tilde = tuple(a2) + tuple(-x for x in a2) + (0,) * len(a2)
         out: Dict[Monomial, Eisenstein] = {}
         for (osc, g2), c in s.terms.items():

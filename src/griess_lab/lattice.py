@@ -8,8 +8,10 @@ doubling coordinates), tensor products, and the index-3 sublattice of
 E8 isometric to A8 together with its glue structure.
 
 Shell enumeration (all vectors of a prescribed norm) is exact: a
-rational quadratic completion of the Gram matrix drives a bounded
-depth-first search, and results can be persisted in a text cache.
+quadratic completion of the Gram matrix, scaled to integers, drives a
+bounded depth-first search, and results can be persisted in a text
+cache.  Coordinates, membership and shells are computed in integers over
+common denominators; Fractions appear only in the values returned.
 """
 
 from __future__ import annotations
@@ -31,18 +33,49 @@ def _qvec(v: Sequence) -> QVec:
     return tuple(Fraction(x) for x in v)
 
 
-def _doubled(v: Sequence[Fraction]) -> Tuple[int, ...]:
+def _lcm(a: int, b: int) -> int:
+    return a if a % b == 0 else a * b // math.gcd(a, b)
+
+
+def _common_scale(v: Sequence) -> Tuple[List[int], int]:
+    """Integers n and the least s >= 1 with v == n / s."""
+    vq = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    s = 1
+    for x in vq:
+        s = _lcm(s, x.denominator)
+    return [x.numerator * (s // x.denominator) for x in vq], s
+
+
+def scaled_ints(v: Sequence, scale: int) -> Tuple[int, ...]:
+    """The integer vector scale * v; ValueError when it is not integral.
+
+    With scale 2 this is the doubled-coordinate form that keeps the
+    half-integer vectors of E8-type lattices integral.
+    """
     out = []
     for x in v:
-        d = 2 * Fraction(x)
-        if d.denominator != 1:
-            raise ValueError(f"coordinate {x} is not a half-integer")
-        out.append(d.numerator)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        q, r = divmod(x.numerator * scale, x.denominator)
+        if r:
+            raise ValueError(f"coordinate {x} times {scale} is not an integer")
+        out.append(q)
     return tuple(out)
 
 
+def _fraction_rows(rows: List[Tuple[int, ...]], den: int) -> Tuple[QVec, ...]:
+    """rows / den as Fraction tuples, building one Fraction per distinct entry."""
+    memo = {x: Fraction(x, den) for x in {x for r in rows for x in r}}
+    return tuple(tuple(map(memo.__getitem__, r)) for r in rows)
+
+
 class Lattice:
-    """An integral lattice given by linearly independent basis rows."""
+    """An integral lattice given by linearly independent basis rows.
+
+    The basis is kept as Fraction rows for the public API; the hot paths
+    (coordinates, membership, shells) run on the integer basis lb * B,
+    where lb is the least common denominator of the basis entries.
+    """
 
     def __init__(self, label: str, basis: Sequence[Sequence]) -> None:
         if not label or any(ch.isspace() for ch in label):
@@ -60,8 +93,24 @@ class Lattice:
         return f"Lattice({self.label!r}, rank={self.rank}, ambient={self.ambient_dim})"
 
     @cached_property
+    def _int_basis(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """(lb, lb * basis) with lb the least common denominator of the basis."""
+        lb = 1
+        for r in self.basis:
+            for x in r:
+                lb = _lcm(lb, x.denominator)
+        return lb, tuple(scaled_ints(r, lb) for r in self.basis)
+
+    @cached_property
+    def _int_gram(self) -> Tuple[Tuple[int, ...], ...]:
+        """Gram matrix of lb * B, that is lb**2 times the true Gram matrix."""
+        rows = self._int_basis[1]
+        return tuple(tuple(sum(x * y for x, y in zip(r, s)) for s in rows) for r in rows)
+
+    @cached_property
     def gram(self) -> Matrix:
-        return Matrix([[dot(a, b) for b in self.basis] for a in self.basis])
+        lb = self._int_basis[0]
+        return Matrix([[Q(x, lb * lb) for x in r] for r in self._int_gram])
 
     @cached_property
     def det(self) -> Fraction:
@@ -71,69 +120,71 @@ class Lattice:
         return d
 
     @cached_property
-    def _doubled_basis(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(_doubled(r) for r in self.basis)
-
-    @cached_property
     def _coord_solver(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-        # Integer form of B^T (B B^T)^{-1}: coords(v) = (2v . num) / (2 den).
-        b2 = self._doubled_basis
-        g4 = Matrix([[Q(sum(x * y for x, y in zip(r, s))) for s in b2] for r in b2])
-        ginv = g4.inverse()  # inverse of 4*gram
-        # P = B^T G^{-1} = (B2/2)^T (Ginv4 * 4) = 2 * B2^T Ginv4
-        pt_rows: List[List[Fraction]] = []
-        for col in range(self.ambient_dim):
-            row = []
-            for j in range(self.rank):
-                row.append(2 * sum(Q(b2[i][col]) * ginv.rows[i][j] for i in range(self.rank)))
-            pt_rows.append(row)
-        den = 1
-        for row in pt_rows:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        num = tuple(tuple(int(x * den) for x in row) for row in pt_rows)
-        return num, den
+        """(num, den) with B^T (B B^T)^{-1} == num / den, num in integers.
+
+        With R = lb * B and G = R R^T this matrix is lb * R^T G^{-1}, so
+        coords(v) = (v . num) / den.
+        """
+        lb, rows = self._int_basis
+        ginv = Matrix([[Q(x) for x in r] for r in self._int_gram]).inverse()
+        gden = 1
+        for r in ginv.rows:
+            for x in r:
+                gden = _lcm(gden, x.denominator)
+        gnum = [[x.numerator * (gden // x.denominator) for x in r] for r in ginv.rows]
+        cols = [[lb * sum(rows[i][col] * gnum[i][j] for i in range(self.rank))
+                 for j in range(self.rank)] for col in range(self.ambient_dim)]
+        g = gden
+        for r in cols:
+            for x in r:
+                g = math.gcd(g, x)
+        return tuple(tuple(x // g for x in r) for r in cols), gden // g
+
+    def _combine(self, coeffs: Iterable[int]) -> List[int]:
+        """sum_j coeffs[j] * (lb * B)[j] in integers."""
+        out = [0] * self.ambient_dim
+        for c, row in zip(coeffs, self._int_basis[1]):
+            if c:
+                out = [a + c * b for a, b in zip(out, row)]
+        return out
+
+    def _solve(self, v: Sequence) -> Optional[Tuple[List[int], int]]:
+        """(raw, d) with coords(v) == raw / d, or None when v is off the span."""
+        vi, s = _common_scale(v)
+        if len(vi) != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        num, den = self._coord_solver
+        raw = [0] * self.rank
+        for x, row in zip(vi, num):
+            if x:
+                raw = [a + x * b for a, b in zip(raw, row)]
+        # The solver returns the span projection; reject vectors off the span:
+        # sum_j raw_j/(s den) B_j == vi/s  <=>  raw . (lb B) == den lb vi.
+        scale = den * self._int_basis[0]
+        if self._combine(raw) != [scale * x for x in vi]:
+            return None
+        return raw, s * den
 
     def coords(self, v: Sequence) -> Optional[QVec]:
         """Rational coordinates of v in this basis, or None when v is off the span."""
-        vq = _qvec(v)
-        if len(vq) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        try:
-            v2 = _doubled(vq)
-        except ValueError:
-            num, den = None, None
-            v2 = None
-        if v2 is not None:
-            num, den = self._coord_solver
-            raw = [sum(v2[i] * num[i][j] for i in range(self.ambient_dim)) for j in range(self.rank)]
-            coords = tuple(Q(x, 2 * den) for x in raw)
-        else:
-            bt = Matrix(list(zip(*self.basis)))
-            sol = bt.solve(vq)
-            if sol is None:
-                return None
-            coords = tuple(Fraction(x) for x in sol)
-        # The solver returns the span projection; reject vectors off the span.
-        recon = [Fraction(0)] * self.ambient_dim
-        for c, row in zip(coords, self.basis):
-            if c:
-                recon = [r + c * x for r, x in zip(recon, row)]
-        if tuple(recon) != vq:
+        got = self._solve(v)
+        if got is None:
             return None
-        return coords
+        raw, d = got
+        return tuple(Fraction(x, d) for x in raw)
 
     def contains(self, v: Sequence) -> bool:
-        c = self.coords(v)
-        return c is not None and all(x.denominator == 1 for x in c)
+        got = self._solve(v)
+        if got is None:
+            return False
+        raw, d = got
+        return all(x % d == 0 for x in raw)
 
     def vector_from_coords(self, coords: Sequence) -> QVec:
-        out = [Fraction(0)] * self.ambient_dim
-        for c, row in zip(coords, self.basis):
-            c = Fraction(c)
-            if c:
-                out = [r + c * x for r, x in zip(out, row)]
-        return tuple(out)
+        ci, s = _common_scale(coords)
+        den = s * self._int_basis[0]
+        return tuple(Fraction(x, den) for x in self._combine(ci))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +329,11 @@ def _int_row_echelon(rows: List[List[int]], track: bool = False):
 def lattice_sum(A: Lattice, B: Lattice, label: Optional[str] = None) -> Lattice:
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    rows = [list(r) for r in A._doubled_basis] + [list(r) for r in B._doubled_basis]
+    (la, ra), (lb, rb) = A._int_basis, B._int_basis
+    den = _lcm(la, lb)
+    rows = [[x * (den // la) for x in r] for r in ra] + [[x * (den // lb) for x in r] for r in rb]
     h = _int_row_echelon(rows)
-    basis = [[Fraction(x, 2) for x in r] for r in h if any(r)]
+    basis = [[Fraction(x, den) for x in r] for r in h if any(r)]
     return Lattice(label or f"{A.label}+{B.label}", basis)
 
 
@@ -309,22 +362,17 @@ def annihilator(L: Lattice, S: Lattice, label: Optional[str] = None) -> Lattice:
     """The sublattice of L of vectors orthogonal to every vector of S."""
     if L.ambient_dim != S.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    # pairing of doubled bases is 4 * the true pairing; kernels agree
+    # pairing of the integer bases is a positive multiple of the true
+    # pairing; kernels agree
     pairing = [
-        [sum(x * y for x, y in zip(bl, bs)) for bs in S._doubled_basis]
-        for bl in L._doubled_basis
+        [sum(x * y for x, y in zip(bl, bs)) for bs in S._int_basis[1]]
+        for bl in L._int_basis[1]
     ]
     h, u = _int_row_echelon(pairing, track=True)
     kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
     if not kernel_rows:
         raise ValueError("annihilator is trivial")
-    basis = []
-    for x in kernel_rows:
-        row = [Fraction(0)] * L.ambient_dim
-        for c, b in zip(x, L.basis):
-            if c:
-                row = [r + c * e for r, e in zip(row, b)]
-        basis.append(row)
+    basis = [L.vector_from_coords(x) for x in kernel_rows]
     return Lattice(label or f"Ann_{L.label}({S.label})", basis)
 
 
@@ -370,37 +418,49 @@ def _enumerate_coords(gram: Matrix, m: Fraction) -> List[Tuple[int, ...]]:
 
     Only one of each pair {x, -x} is produced (the highest-index nonzero
     coordinate is positive); the zero vector is excluded.
+
+    The search runs in integers.  Row i of the completion has a common
+    denominator e[i], so x_i + sum_{j>i} u[i][j] x_j == y / e[i] with y an
+    integer, and the term d[i] (y / e[i])**2 equals k[i] * y**2 / D for one
+    common D.  Budgets are kept as integer multiples of 1/D.
     """
     n = gram.nrows
     d, u = _quadratic_completion(gram)
+    e = [1] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            e[i] = _lcm(e[i], u[i][j].denominator)
+    un = [[int(u[i][j] * e[i]) for j in range(n)] for i in range(n)]
+    D = m.denominator
+    for i in range(n):
+        D = _lcm(D, d[i].denominator * e[i] ** 2)
+    k = [int(d[i] * D / e[i] ** 2) for i in range(n)]
     out: List[Tuple[int, ...]] = []
     x = [0] * n
 
-    def descend(i: int, budget: Fraction, on_axis: bool) -> None:
+    def descend(i: int, budget: int, on_axis: bool) -> None:
         if i < 0:
             if budget == 0:
                 out.append(tuple(x))
             return
-        c = Q(0)
+        row, ei, ki = un[i], e[i], k[i]
+        c = 0
         for j in range(i + 1, n):
             if x[j]:
-                c += u[i][j] * x[j]
-        t = budget / d[i]
-        # safe outer bound for |x_i + c|: (isqrt(p*q) + 1) / q >= sqrt(p/q)
-        s_hi = Q(math.isqrt(t.numerator * t.denominator) + 1, t.denominator)
-        lo = math.ceil(-c - s_hi)
-        hi = math.floor(-c + s_hi)
+                c += row[j] * x[j]
+        # k y^2 <= budget  <=>  |y| <= isqrt(budget // k), y = ei x_i + c
+        r = math.isqrt(budget // ki)
+        lo = -((c + r) // ei)
+        hi = (r - c) // ei
         if on_axis:
             lo = max(lo, 0)
         for xi in range(lo, hi + 1):
-            w = d[i] * (xi + c) ** 2
-            if w > budget:
-                continue
+            y = ei * xi + c
             x[i] = xi
-            descend(i - 1, budget - w, on_axis and xi == 0)
+            descend(i - 1, budget - ki * y * y, on_axis and xi == 0)
         x[i] = 0
 
-    descend(n - 1, Fraction(m), True)
+    descend(n - 1, int(m * D), True)
     return [v for v in out if any(v)]
 
 
@@ -412,9 +472,10 @@ def shell(L: Lattice, norm, cache: Optional["DiskCache"] = None) -> Shell:
         got = cache.load_shell(L.label, norm)
         if got is not None:
             return got
-    half: List[QVec] = [L.vector_from_coords(c) for c in _enumerate_coords(L.gram, norm)]
-    vectors = sorted(half + [tuple(-x for x in v) for v in half])
-    sh = Shell(L.label, norm, tuple(vectors))
+    # lb * v sorts like v because lb > 0
+    half = [tuple(L._combine(c)) for c in _enumerate_coords(L.gram, norm)]
+    ints = sorted(half + [tuple(-x for x in v) for v in half])
+    sh = Shell(L.label, norm, _fraction_rows(ints, L._int_basis[0]))
     if cache is not None:
         cache.store_shell(sh)
     return sh
@@ -568,13 +629,14 @@ def find_a(e8: Lattice, cache: Optional["DiskCache"] = None) -> QVec:
     """
     import numpy as np
 
+    lb = e8._int_basis[0]
     roots = shell(e8, 2, cache).vectors
-    r2 = np.array([_doubled(r) for r in roots], dtype=np.int64).T
+    r2 = np.array([scaled_ints(r, lb) for r in roots], dtype=np.int64).T
     for norm in (2, 4, 6, 8):
         vectors = shell(e8, norm, cache).vectors
-        cand = np.array([_doubled(v) for v in vectors], dtype=np.int64)
-        # doubled dot = 4 * true dot, so test mod 12; entries are tiny, exact in int64
-        hits = (np.mod(cand @ r2, 12) == 0).sum(axis=1)
+        cand = np.array([scaled_ints(v, lb) for v in vectors], dtype=np.int64)
+        # scaled dot = lb**2 * true dot; entries are tiny, exact in int64
+        hits = (np.mod(cand @ r2, 3 * lb * lb) == 0).sum(axis=1)
         for idx in np.nonzero(hits == 72)[0]:
             a = vectors[int(idx)]
             K = sublattice_K(e8, a)
@@ -656,12 +718,17 @@ class CosetSystem:
         for r in self.representatives:
             if not self.superlattice.contains(r):
                 raise ValueError(f"representative {r} is not in {self.superlattice.label}")
-        reps = self.representatives
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                diff = tuple(a - b for a, b in zip(reps[i], reps[j]))
-                if self.sublattice.contains(diff):
-                    raise ValueError(f"representatives {i} and {j} are congruent")
+        # coords is linear on the span, so two representatives are congruent
+        # exactly when their sublattice coordinates agree mod 1
+        seen: Dict[QVec, int] = {}
+        for j, r in enumerate(self.representatives):
+            c = self.sublattice.coords(r)
+            if c is None:
+                raise ValueError(
+                    f"representative {j} is off the span of {self.sublattice.label}")
+            i = seen.setdefault(tuple(x % 1 for x in c), j)
+            if i != j:
+                raise ValueError(f"representatives {i} and {j} are congruent")
         self.verified = True
         return self
 
@@ -725,14 +792,19 @@ def _format_vec(v: QVec) -> str:
     return " ".join(str(x) for x in v)
 
 
-def _parse_vec(line: str) -> QVec:
+def _parse_vec(line: str, memo: Dict[str, Fraction]) -> QVec:
+    """One vector per line; memo holds one Fraction per distinct token."""
     out = []
     for tok in line.split():
-        if "/" in tok:
-            num, den = tok.split("/", 1)
-            out.append(Fraction(int(num), int(den)))
-        else:
-            out.append(Fraction(int(tok)))
+        x = memo.get(tok)
+        if x is None:
+            if "/" in tok:
+                num, den = tok.split("/", 1)
+                x = Fraction(int(num), int(den))
+            else:
+                x = Fraction(int(tok))
+            memo[tok] = x
+        out.append(x)
     return tuple(out)
 
 
@@ -758,7 +830,8 @@ class DiskCache:
             got_label, got_norm, count = header[2], header[3], int(header[4])
             if got_label != label or Fraction(got_norm) != norm:
                 raise ValueError(f"shell cache {path} is for {got_label}:{got_norm}")
-            vectors = tuple(_parse_vec(line) for line in fh if line.strip())
+            memo: Dict[str, Fraction] = {}
+            vectors = tuple(_parse_vec(line, memo) for line in fh if line.strip())
         if len(vectors) != count:
             raise ValueError(f"shell cache {path} truncated")
         return Shell(label, norm, vectors)
@@ -783,7 +856,8 @@ class DiskCache:
             if header[:2] != _COSET_HEADER.split() or len(header) != 5:
                 raise ValueError(f"bad coset cache header in {path}")
             count = int(header[4])
-            reps = tuple(_parse_vec(line) for line in fh if line.strip())
+            memo: Dict[str, Fraction] = {}
+            reps = tuple(_parse_vec(line, memo) for line in fh if line.strip())
         if len(reps) != count:
             raise ValueError(f"coset cache {path} truncated")
         return reps

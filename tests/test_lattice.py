@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from griess_lab.numerics import Matrix, Q, dot
 from griess_lab.lattice import (
@@ -31,6 +32,61 @@ from griess_lab.lattice import (
 
 def scaled_gram(L, factor):
     return tuple(tuple(factor * x for x in row) for row in L.gram.rows)
+
+
+# Derandomized, bounded property runs keep the suite deterministic.
+ORACLE = settings(derandomize=True, max_examples=15, deadline=None, database=None)
+DENOMINATORS = (1, 2, 3, 9)
+
+
+def reference_coords(L, v):
+    """Coordinates by Fraction elimination on B^T and an explicit
+    Fraction reconstruction; the reference for Lattice.coords."""
+    vq = tuple(Fraction(x) for x in v)
+    sol = Matrix(list(zip(*L.basis))).solve(vq)
+    if sol is None:
+        return None
+    recon = [Fraction(0)] * L.ambient_dim
+    for c, row in zip(sol, L.basis):
+        recon = [r + c * x for r, x in zip(recon, row)]
+    if tuple(recon) != vq:
+        return None
+    return tuple(Fraction(x) for x in sol)
+
+
+def _glue_sublattice():
+    maps = EmbeddingMaps(8, 2)
+    a8 = build_standard("A", 8)
+    rows = list(map_lattice(maps.mu, build_standard("A", 2), "mu.A2").basis)
+    for i in range(3):
+        rows += [maps.eta(i, b) for b in a8.basis]
+    return Lattice("mu.A2+A8^3", rows)
+
+
+_E8 = build_standard("E8")
+ORACLE_LATTICES = {
+    "E8": _E8,
+    "E8^3": direct_sum([_E8] * 3, "E8^3"),
+    "mu.A2+A8^3": _glue_sublattice(),
+}
+
+
+def draw_vector(data, L, den):
+    """A small combination of basis rows over den, optionally pushed off
+    the span, or a free rational vector over den."""
+    kind = data.draw(st.sampled_from(("span", "off-span", "free")))
+    if kind == "free":
+        nums = data.draw(st.lists(st.integers(-9, 9), min_size=L.ambient_dim,
+                                  max_size=L.ambient_dim))
+        return tuple(Fraction(x, den) for x in nums)
+    cs = data.draw(st.lists(st.integers(-4, 4), min_size=L.rank, max_size=L.rank))
+    v = [Fraction(0)] * L.ambient_dim
+    for c, row in zip(cs, L.basis):
+        v = [a + Fraction(c, den) * x for a, x in zip(v, row)]
+    if kind == "off-span":
+        k = data.draw(st.integers(0, L.ambient_dim - 1))
+        v[k] += Fraction(data.draw(st.sampled_from((-1, 1))), den)
+    return tuple(v)
 
 
 class TestConstructions:
@@ -76,6 +132,33 @@ class TestConstructions:
         a2 = build_standard("A", 2)
         assert a2.coords((Q(1), 0, 0)) is None
 
+    def test_coords_on_non_half_integral_basis(self):
+        # a basis with thirds once broke the coordinate solver
+        T = Lattice("T", [[Q(1, 3), Q(-1, 3)], [1, 1]])
+        assert T.coords((1, 1)) == (Q(0), Q(1))
+        assert T.contains((1, 1))
+        assert T.coords((1, 0)) == (Q(3, 2), Q(1, 2))
+        assert not T.contains((1, 0))
+        assert T.vector_from_coords((Q(3, 2), Q(1, 2))) == (Q(1), Q(0))
+
+    @pytest.mark.parametrize("den", DENOMINATORS)
+    @pytest.mark.parametrize("name", sorted(ORACLE_LATTICES))
+    @ORACLE
+    @given(data=st.data())
+    def test_coords_match_elimination_oracle(self, name, den, data):
+        L = ORACLE_LATTICES[name]
+        v = draw_vector(data, L, den)
+        got = L.coords(v)
+        assert got == reference_coords(L, v)
+        assert L.contains(v) == (got is not None and all(x.denominator == 1 for x in got))
+        if got is not None:
+            assert L.vector_from_coords(got) == v
+
+    def test_coords_off_span_rejected(self):
+        L = ORACLE_LATTICES["mu.A2+A8^3"]
+        v = (Q(1),) + (Q(0),) * 26
+        assert L.coords(v) is None and reference_coords(L, v) is None
+
 
 class TestShells:
     def test_e8_root_count(self, e8, cache):
@@ -101,6 +184,26 @@ class TestShells:
                 fast = shell(L, m)
                 slow = shell_brute_force(L, m)
                 assert fast.vectors == slow.vectors
+
+    @ORACLE
+    @given(st.data())
+    def test_matches_brute_force_on_rational_bases(self, data):
+        n = data.draw(st.integers(1, 3))
+        dim = data.draw(st.integers(n, 3))
+        den = data.draw(st.sampled_from((3, 9, 6)))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-4, 4), min_size=dim, max_size=dim),
+            min_size=n, max_size=n))
+        basis = [[Fraction(x, den) for x in r] for r in rows]
+        assume(Matrix(basis).rank() == n)
+        L = Lattice("rational", basis)
+        norms = {dot(r, r) for r in L.basis}
+        for a in L.basis:
+            for b in L.basis:
+                s = tuple(x + y for x, y in zip(a, b))
+                norms.add(dot(s, s))
+        for m in sorted(x for x in norms if x > 0)[:3]:
+            assert shell(L, m).vectors == shell_brute_force(L, m).vectors
 
     def test_negation_closure(self, e8, cache):
         s = shell(e8, 2, cache)
@@ -300,6 +403,22 @@ class TestCosets:
             system.representatives[:80] + (system.representatives[0],),
             81)
         with pytest.raises(ValueError):
+            bad.verify()
+
+    def test_congruent_non_duplicate_rejected(self, system):
+        reps = list(system.representatives)
+        reps[5] = tuple(a + b for a, b in zip(reps[3], system.sublattice.basis[7]))
+        bad = CosetSystem(system.superlattice, system.sublattice, tuple(reps), 81)
+        with pytest.raises(ValueError, match="representatives 3 and 5 are congruent"):
+            bad.verify()
+
+    def test_off_span_representative_rejected(self):
+        z2 = build_standard("Z", 2)
+        line = Lattice("2Z", [[2, 0]])
+        good = CosetSystem(z2, line, ((Q(0), Q(0)), (Q(1), Q(0))), 2)
+        assert good.verify().verified
+        bad = CosetSystem(z2, line, ((Q(0), Q(0)), (Q(0), Q(1))), 2)
+        with pytest.raises(ValueError, match="representative 1 is off the span"):
             bad.verify()
 
     def test_cached_roundtrip(self, system, cache):

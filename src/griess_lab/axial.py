@@ -12,9 +12,11 @@ cosets.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property, reduce
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .numerics import Matrix, Q, dot
 
@@ -302,13 +304,13 @@ class MatrixGroup:
     def order_three_part(self) -> List[Matrix]:
         return [m for m in self.elements if self.element_order(m) in (1, 3)]
 
-    def _inverse(self, m: Matrix) -> Matrix:
-        return m.inverse()
+    @cached_property
+    def _inverses(self) -> Dict[Matrix, Matrix]:
+        return {g: g.inverse() for g in self.elements}
 
     def is_normal(self, subset: Sequence[Matrix]) -> bool:
         sub = set(subset)
-        for g in self.elements:
-            gi = self._inverse(g)
+        for g, gi in self._inverses.items():
             for s in subset:
                 if g.matmul(s).matmul(gi) not in sub:
                     return False
@@ -322,8 +324,8 @@ class MatrixGroup:
         frontier = [seeds[0]]
         while frontier:
             x = frontier.pop()
-            for g in self.elements:
-                y = g.matmul(x).matmul(self._inverse(g))
+            for g, gi in self._inverses.items():
+                y = g.matmul(x).matmul(gi)
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
@@ -452,6 +454,24 @@ def parafermion_central_charge(g: LieData, k: int) -> Fraction:
 # -- bridge from the Fock engine ---------------------------------------------------
 
 
+def griess_table_entries(space, states: Sequence, gram: Matrix
+                         ) -> Iterator[Tuple[int, int, Optional[Vector]]]:
+    """Yield (i, j, coefficients of states[i].states[j] in the states) for
+    j <= i, read off through the form and the Gram matrix; the coefficients
+    are None when the product leaves the span of the states."""
+    for i in range(len(states)):
+        for j in range(i + 1):
+            prod = space.griess_product(states[i], states[j])
+            rhs = tuple(space.invariant_form(prod, s).rational_part() for s in states)
+            coeffs = gram.solve(rhs)
+            if coeffs is not None:
+                recombined = reduce(operator.add,
+                                    (s.scale(c) for s, c in zip(states, coeffs)))
+                if recombined != prod:
+                    coeffs = None
+            yield i, j, None if coeffs is None else tuple(coeffs)
+
+
 def algebra_from_griess(space, states: Sequence, labels: Sequence[str]
                         ) -> StructureAlgebra:
     """Structure constants of a list of weight-2 states that close under
@@ -459,25 +479,11 @@ def algebra_from_griess(space, states: Sequence, labels: Sequence[str]
     d = len(states)
     gram_rows = [[space.invariant_form(states[i], states[j]).rational_part()
                   for j in range(d)] for i in range(d)]
-    g = Matrix(gram_rows)
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(i + 1):
-            prod = space.griess_product(states[i], states[j])
-            rhs = tuple(space.invariant_form(prod, states[k]).rational_part()
-                        for k in range(d))
-            coeffs = g.solve(rhs)
-            if coeffs is None:
-                raise ValueError("product escapes the span of the given states")
-            recombined = None
-            for k, c in enumerate(coeffs):
-                part = states[k].scale(c)
-                recombined = part if recombined is None else recombined + part
-            if recombined != prod:
-                raise ValueError("product escapes the span of the given states")
-            row.append(tuple(coeffs))
-        table.append(row)
+    table: List[List[Vector]] = [[] for _ in range(d)]
+    for i, _, coeffs in griess_table_entries(space, states, Matrix(gram_rows)):
+        if coeffs is None:
+            raise ValueError("product escapes the span of the given states")
+        table[i].append(coeffs)
     full = [[table[max(i, j)][min(i, j)] for j in range(d)] for i in range(d)]
     return StructureAlgebra(labels, full, gram_rows)
 

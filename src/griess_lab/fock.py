@@ -255,9 +255,31 @@ class FockSpace:
         beta2 = scaled_ints(beta, 2)
         self._mask_pair(beta2)
         out = _Accumulator()
-        for mono, c in s.terms.items():
-            self._exp_mode_term(out, beta2, n, mono, c)
+        self._exp_modes(out, {beta2: ONE}, n, s)
         return out.state()
+
+    def _exp_modes(self, out: _Accumulator, a_exp: Dict[Gamma, Eisenstein],
+                   n: int, b: FockState) -> None:
+        """Add the n-th modes of sum_beta c_beta e^beta applied to b to out.
+
+        A pair (e^beta, monomial of b) can land a term only when
+        d_max = -n - 1 - <beta, gamma> + W >= 0, W being the monomial's
+        oscillator weight.  All pairings come from one exact int64 product
+        of the doubled exponents (4 <beta, gamma>), and only the pairs that
+        pass the test reach the per-term kernel.
+        """
+        if not a_exp or not b.terms:
+            return
+        betas = list(a_exp)
+        monos = list(b.terms)
+        S = np.array(betas, dtype=np.int64) @ np.array(
+            [g2 for _, g2 in monos], dtype=np.int64).T
+        if (S % 4).any():
+            raise ValueError("non-integral pairing between exponents")
+        W = np.array([sum(m for m, _ in osc) for osc, _ in monos], dtype=np.int64)
+        for i, j in np.argwhere(4 * (W - n - 1) - S >= 0):
+            beta2, mono = betas[i], monos[j]
+            self._exp_mode_term(out, beta2, n, mono, a_exp[beta2] * b.terms[mono])
 
     def _exp_mode_term(self, out: _Accumulator, beta2: Gamma, n: int,
                        mono: Monomial, coeff: Eisenstein) -> None:
@@ -315,6 +337,7 @@ class FockSpace:
 
     def apply_mode(self, a: FockState, n: int, b: FockState) -> FockState:
         out = _Accumulator()
+        a_exp: Dict[Gamma, Eisenstein] = {}
         for mono, c in a.terms.items():
             osc, g2 = mono
             is_exp = any(g2)
@@ -324,8 +347,7 @@ class FockSpace:
                         out.add(m2, c * c2)
                 continue
             if not osc:
-                for m2, c2 in b.terms.items():
-                    self._exp_mode_term(out, g2, n, m2, c * c2)
+                a_exp[g2] = c
             elif not is_exp and len(osc) == 1 and osc[0][0] == 1:
                 k = osc[0][1]
                 self._merge(out, self.heisenberg_mode(self._unit(k), n, b), c)
@@ -344,6 +366,7 @@ class FockSpace:
                 self._mixed_mode(out, osc[0][1], g2, n, b, c)
             else:
                 raise NotImplementedError("left state exceeds weight 2")
+        self._exp_modes(out, a_exp, n, b)
         return out.state()
 
     def _unit(self, k: int) -> Tuple[Fraction, ...]:
@@ -370,59 +393,21 @@ class FockSpace:
                     b: FockState, coeff: Eisenstein) -> None:
         # (eps_k(-1)e^gamma)_n by the same normal-ordered splitting
         ek = self._unit(k)
-        gamma = tuple(Q(x, 2) for x in g2)
         for m in range(-2, 0):
-            inner = self.exp_mode(gamma, n - 1 - m, b)
-            if inner:
-                self._merge(out, self.heisenberg_mode(ek, m, inner), coeff)
+            inner = _Accumulator()
+            self._exp_modes(inner, {g2: coeff}, n - 1 - m, b)
+            if inner.terms:
+                self._merge(out, self.heisenberg_mode(ek, m, inner.state()), ONE)
         for m in range(0, 3):
             inner = self.heisenberg_mode(ek, m, b)
-            if inner:
-                self._merge(out, self.exp_mode(gamma, n - 1 - m, inner), coeff)
+            self._exp_modes(out, {g2: coeff}, n - 1 - m, inner)
 
     # -- Griess product and pairing -------------------------------------------
 
     def griess_product(self, a: FockState, b: FockState) -> FockState:
         if a.weight() != 2 or b.weight() != 2:
             raise ValueError("the Griess product is defined on weight-2 states")
-        a_exp = {g2: c for (osc, g2), c in a.terms.items() if not osc}
-        b_exp = {g2: c for (osc, g2), c in b.terms.items() if not osc}
-        out = _Accumulator()
-        if len(a_exp) * len(b_exp) >= 4096:
-            a_other = FockState({m: c for m, c in a.terms.items() if m[0]})
-            self._exp_exp_block(out, a_exp, 1, b_exp)
-            b_other = FockState({m: c for m, c in b.terms.items() if m[0]})
-            if b_other:
-                for g2, c in a_exp.items():
-                    for m2, c2 in b_other.terms.items():
-                        self._exp_mode_term(out, g2, 1, m2, c * c2)
-        else:
-            a_other = FockState({m: c for m, c in a.terms.items() if m[0]})
-            for g2, c in a_exp.items():
-                for m2, c2 in b.terms.items():
-                    self._exp_mode_term(out, g2, 1, m2, c * c2)
-        if a_other:
-            self._merge(out, self.apply_mode(a_other, 1, b), ONE)
-        return out.state()
-
-    def _exp_exp_block(self, out: _Accumulator, a_exp: Dict[Gamma, Eisenstein],
-                       n: int, b_exp: Dict[Gamma, Eisenstein]) -> None:
-        """Mode action of many pure exponentials on many pure exponentials.
-
-        The doubled pairing matrix is computed in one exact int64 product;
-        only pairs whose z-power bookkeeping lands in 0 <= d <= 2 survive,
-        and those are handled individually.
-        """
-        ag = list(a_exp.keys())
-        bg = list(b_exp.keys())
-        A = np.array(ag, dtype=np.int64)
-        B = np.array(bg, dtype=np.int64)
-        S = A @ B.T  # 4 * true pairing
-        D = -4 * (n + 1) - S  # 4 * d
-        hits = np.argwhere((D >= 0) & (D <= 8))
-        for i, j in hits:
-            g2a, g2b = ag[int(i)], bg[int(j)]
-            self._exp_mode_term(out, g2a, n, ((), g2b), a_exp[g2a] * b_exp[g2b])
+        return self.apply_mode(a, 1, b)
 
     def invariant_form(self, a: FockState, b: FockState) -> Eisenstein:
         if a.weight() != 2 or b.weight() != 2:

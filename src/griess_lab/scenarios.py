@@ -27,6 +27,7 @@ from .axial import (
     build_G9,
     certify_virasoro,
     check_a_products,
+    griess_table_entries,
     group_closure,
     highest_weight_check,
     lie_algebra,
@@ -212,26 +213,12 @@ class SuiteContext:
                        for i in range(9) for j in range(9)
                        if gram.rows[i][j] != g9.gram.rows[i][j]]
             table_mm = []
-            for i in range(9):
-                for j in range(i + 1):
-                    prod = sp.griess_product(axes[i], axes[j])
-                    rhs = tuple(sp.invariant_form(prod, axes[k]).rational_part()
-                                for k in range(9))
-                    coeffs = gram.solve(rhs)
-                    if coeffs is None:
-                        table_mm.append((i, j, "outside the axis span",
-                                         render(g9.table[i][j])))
-                        continue
-                    recombined = None
-                    for k, c in enumerate(coeffs):
-                        part = axes[k].scale(c)
-                        recombined = part if recombined is None else recombined + part
-                    if recombined != prod:
-                        table_mm.append((i, j, "outside the axis span",
-                                         render(g9.table[i][j])))
-                    elif tuple(coeffs) != g9.table[i][j]:
-                        table_mm.append((i, j, render(tuple(coeffs)),
-                                         render(g9.table[i][j])))
+            for i, j, coeffs in griess_table_entries(sp, axes, gram):
+                if coeffs is None:
+                    table_mm.append((i, j, "outside the axis span",
+                                     render(g9.table[i][j])))
+                elif coeffs != g9.table[i][j]:
+                    table_mm.append((i, j, render(coeffs), render(g9.table[i][j])))
             return table_mm, gram_mm
         return self._get("axis_table_mismatches", build)
 

@@ -5,6 +5,8 @@ import pytest
 from griess_lab.fock import (
     FockState,
     WeightOverflowError,
+    _Accumulator,
+    _root_current,
     check_commutant_annihilation,
     parafermion_omega,
     parafermion_space,
@@ -153,10 +155,14 @@ class TestGriessProduct:
         rhs = (family.axis(1, 0) + family.axis(1, 1) - family.axis(1, 2))
         assert lhs == rhs.scale(Q(1, 32))
 
-    def test_bucketed_path_matches_generic_modes(self, family):
+    def test_matches_per_pair_reference(self, family):
         sp = family.space
         e_m, e_n = family.axes[0][0], family.axes[0][1]
-        assert sp.griess_product(e_m, e_n) == sp.apply_mode(e_m, 1, e_n)
+        exp_part = FockState({m: c for m, c in e_m.terms.items() if not m[0]})
+        osc_part = e_m - exp_part
+        want = _per_pair_exp_modes(sp, exp_part, 1, e_n)
+        want = want + sp.apply_mode(osc_part, 1, e_n)
+        assert sp.griess_product(e_m, e_n) == want
 
     def test_commutative_on_axes(self, family):
         sp = family.space
@@ -193,6 +199,45 @@ def _random_weight2_state(space, family, rng, nterms=6):
             s = s + space.heisenberg_mode(
                 unit(24, rng.randrange(24)), -1, space.exp_state(gamma, c))
     return s
+
+
+def _per_pair_exp_modes(space, a, n, b):
+    """Reference for modes of a pure-exponential state: every (exponent,
+    monomial) pair goes through the per-term kernel, with no prefilter."""
+    out = _Accumulator()
+    for (osc, g2), c in a.terms.items():
+        assert not osc
+        for mono, c2 in b.terms.items():
+            space._exp_mode_term(out, g2, n, mono, c * c2)
+    return out.state()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except WeightOverflowError:
+        return WeightOverflowError
+
+
+class TestExpModesPrefilter:
+    def test_apply_mode_matches_per_pair_reference(self, family, cache):
+        sp = family.space
+        rng = random.Random(20261018)
+        roots = shell(family.e8, 2, cache).vectors
+        quartic = shell(family.M, 4, cache).vectors
+        quartic = quartic + shell(family.N, 4, cache).vectors
+        lefts = [_root_current(sp, roots[rng.randrange(len(roots))]) for _ in range(3)]
+        lefts += [sp.exp_state(quartic[rng.randrange(len(quartic))]) for _ in range(3)]
+        rights = [family.axis(0, 0), family.axis(1, 2)]
+        rights += [_random_weight2_state(sp, family, rng, 10) for _ in range(4)]
+        landed = 0
+        for a in lefts:
+            for b in rights:
+                for n in range(4):
+                    got = _outcome(lambda: sp.apply_mode(a, n, b))
+                    assert got == _outcome(lambda: _per_pair_exp_modes(sp, a, n, b))
+                    landed += isinstance(got, FockState) and not got.is_zero()
+        assert landed >= 10
 
 
 class TestInvariantForm:
@@ -336,6 +381,17 @@ class TestSkewRule:
             rhs = sp.apply_mode(b, 1, a) - sp.translate(sp.apply_mode(b, 2, a))
             assert lhs == rhs
 
+    def test_skew_rule_with_mixed_left_state(self, family):
+        # eps_k(-1)e^gamma on eps_k(-2)1 needs the exponential mode -2
+        sp = family.space
+        root = block_embed(shell(family.e8, 2).vectors[0], 0, 3)
+        k = next(i for i, x in enumerate(root) if x)
+        a = sp.heisenberg_mode(unit(24, k), -1, sp.exp_state(root))
+        b = sp.oscillator_state([(unit(24, k), 2)])
+        lhs = sp.griess_product(a, b)
+        assert not lhs.is_zero()
+        assert lhs == sp.griess_product(b, a) - sp.translate(sp.apply_mode(b, 2, a))
+
     def test_translation_on_low_weight(self, family):
         sp = family.space
         h = unit(24, 4)
@@ -377,7 +433,6 @@ class TestCommutant:
     def test_sampled_roots_annihilate_axes(self, family, cache):
         sp = family.space
         roots = shell(family.K, 2, cache).vectors[:6]
-        from griess_lab.fock import _root_current
         for alpha in roots:
             h = tuple(alpha) * 3
             current = _root_current(sp, alpha)

@@ -1,9 +1,10 @@
 """Command-line front end: suite verification, inspection, cache management.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error.  Verification output is a pure function of the
-resolved configuration and the package version: timings are never
-populated by the CLI, and randomized samples derive from the seed.
+configuration error, 3 at least one check raised an error (the report
+still lists every check).  Verification output is a pure function of the
+resolved configuration and the package version: timings are populated
+only under `verify --timing`, and randomized samples derive from the seed.
 """
 
 from __future__ import annotations
@@ -183,17 +184,22 @@ def resolve_state_expr(expr: str, cache: DiskCache):
 # -- subcommands --------------------------------------------------------------------
 
 
-def cmd_verify(cfg: Config, out=None, err=None) -> int:
+EXIT_CHECK_ERROR = 3
+
+
+def cmd_verify(cfg: Config, out=None, err=None, timing: bool = False) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     report = run_suite(cfg.suite, seed=cfg.seed, jobs=cfg.jobs,
                        cache=DiskCache(cfg.cache_dir),
-                       closure_bound=cfg.closure_bound)
-    out.write(emit_report(report, cfg.format))
+                       timing=timing, closure_bound=cfg.closure_bound)
+    out.write(emit_report(report, cfg.format, timing=timing))
     if not report.ok:
         err.write("failing checks: " + ", ".join(report.failures) + "\n")
-        return 1
-    return 0
+    if report.errors:
+        err.write("checks that raised: " + ", ".join(report.errors) + "\n")
+        return EXIT_CHECK_ERROR
+    return 0 if report.ok else 1
 
 
 def cmd_inspect(cfg: Config, words: Sequence[str], out=None) -> int:
@@ -278,12 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run a verification suite")
+    p_verify = sub.add_parser(
+        "verify", parents=[common], help="run a verification suite",
+        epilog="exit codes: 0 all checks passed, 1 a check failed, 2 usage "
+               "or configuration error, 3 a check raised an error (every "
+               "other check is still reported)")
     p_verify.add_argument("--suite", choices=SUITE_NAMES)
     p_verify.add_argument("--format", choices=("json", "text"))
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--jobs", type=int)
+    p_verify.add_argument("--timing", action="store_true",
+                          help="fill each check's elapsed_ms (the report "
+                               "bytes then vary from run to run)")
 
     p_inspect = sub.add_parser("inspect", parents=[common],
                                help="print lattices, shells, or state dumps")
@@ -310,7 +322,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         if args.command == "verify":
-            return cmd_verify(cfg)
+            return cmd_verify(cfg, timing=args.timing)
         if args.command == "inspect":
             if args.dump_state:
                 return cmd_inspect(cfg, ["state-dump", args.dump_state])

@@ -12,6 +12,12 @@ Heisenberg modes, the modes of exponential states via the closed
 double-exponential expansion, the Griess product a.b = a_1 b, and the
 weight-2 pairing <a,b>1 = a_3 b, all exactly.
 
+Inside a mode application every coefficient is an Eisenstein integer
+re + zc*zeta: each operand is scaled by the common denominator of its
+coefficients on entry, the kernel adds plain ints over one denominator
+fixed per call, and Fraction/Eisenstein coefficients are rebuilt once per
+output term on exit.
+
 The mode conventions are the usual ones: [h(m), h'(n)] = m<h,h'>
 delta_{m+n,0}, h(0)e^gamma = <h,gamma> e^gamma, and
 
@@ -25,7 +31,10 @@ wt(a) + wt(b) - n - 1; anything that would exceed weight 2 raises.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -53,19 +62,30 @@ from .numerics import Eisenstein, Matrix, ONE, Q, ZERO, ZETA, dot
 Osc = Tuple[Tuple[int, int], ...]      # sorted ((mode >= 1, frame index), ...)
 Gamma = Tuple[int, ...]                # doubled exponent coordinates
 Monomial = Tuple[Osc, Gamma]
+Num = Tuple[Monomial, int, int]        # (monomial, re, zc): numerator re + zc*zeta
+
+_F0 = Fraction(0)
 
 
 class WeightOverflowError(ValueError):
     """A mode application would leave the weight <= 2 sector."""
 
 
-def _mono_weight(mono: Monomial) -> Fraction:
+def _wt8(mono: Monomial) -> int:
+    """Eight times the weight of a monomial (an integer, as 8|gamma|^2/2
+    is the sum of squares of the doubled coordinates)."""
     osc, g2 = mono
-    return sum(n for n, _ in osc) + Q(sum(x * x for x in g2), 8)
+    return 8 * sum(n for n, _ in osc) + sum(map(operator.mul, g2, g2))
 
 
 def _as_eis(c) -> Eisenstein:
     return c if isinstance(c, Eisenstein) else Eisenstein(Fraction(c))
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(size: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(itertools.chain.from_iterable(
+        itertools.combinations(range(size), r) for r in range(size + 1)))
 
 
 class FockState:
@@ -113,12 +133,13 @@ class FockState:
         return FockState({m: v * c for m, v in self.terms.items()})
 
     def weight(self) -> Fraction:
-        ws = {_mono_weight(m) for m in self.terms}
+        ws = {_wt8(m) for m in self.terms}
         if not ws:
             raise ValueError("the zero state has no weight")
         if len(ws) > 1:
-            raise ValueError(f"state is not homogeneous: weights {sorted(ws)}")
-        return ws.pop()
+            raise ValueError(
+                f"state is not homogeneous: weights {sorted(Q(w, 8) for w in ws)}")
+        return Q(ws.pop(), 8)
 
     def exponents(self) -> List[Gamma]:
         return sorted({g2 for _, g2 in self.terms})
@@ -127,23 +148,44 @@ class FockState:
         return self.terms.get(mono, ZERO)
 
 
+def _numerators(s: FockState) -> Tuple[int, List[Num]]:
+    """The terms of s as Eisenstein-integer numerators over the least
+    common denominator of its coefficients."""
+    den = math.lcm(*(x.denominator for c in s.terms.values() for x in (c.re, c.zc)))
+    return den, [(mono, c.re.numerator * (den // c.re.denominator),
+                  c.zc.numerator * (den // c.zc.denominator))
+                 for mono, c in s.terms.items()]
+
+
 class _Accumulator:
-    __slots__ = ("terms",)
+    """A sum of terms as Eisenstein-integer numerators re + zc*zeta over
+    one denominator that the caller fixes."""
+
+    __slots__ = ("re", "zc")
 
     def __init__(self) -> None:
-        self.terms: Dict[Monomial, Eisenstein] = {}
+        self.re: Dict[Monomial, int] = {}
+        self.zc: Dict[Monomial, int] = {}
 
-    def add(self, mono: Monomial, c: Eisenstein) -> None:
-        s = self.terms.get(mono)
-        s = c if s is None else s + c
-        if s:
-            self.terms[mono] = s
-        else:
-            self.terms.pop(mono, None)
+    def add(self, mono: Monomial, re: int, zc: int) -> None:
+        if re:
+            self.re[mono] = self.re.get(mono, 0) + re
+        if zc:
+            self.zc[mono] = self.zc.get(mono, 0) + zc
 
-    def state(self) -> FockState:
+    def terms(self) -> List[Num]:
+        """The nonzero terms."""
+        re, zc = self.re, self.zc
+        out = [(m, r, zc.get(m, 0)) for m, r in re.items() if r or zc.get(m, 0)]
+        out.extend((m, 0, z) for m, z in zc.items() if z and m not in re)
+        return out
+
+    def state(self, den: int) -> FockState:
+        """The sum with every numerator divided by den."""
         out = FockState()
-        out.terms = self.terms
+        out.terms = {m: Eisenstein(Fraction(r, den) if r else _F0,
+                                   Fraction(z, den) if z else _F0)
+                     for m, r, z in self.terms()}
         return out
 
 
@@ -167,7 +209,7 @@ class FockSpace:
     def exp_state(self, gamma: Sequence, coeff=1) -> FockState:
         g2 = scaled_ints(gamma, 2)
         self._mask_pair(g2)  # membership check
-        if Q(sum(x * x for x in g2), 8) > 2:
+        if _wt8(((), g2)) > 16:
             raise WeightOverflowError("exponent norm exceeds the weight cap")
         return FockState({((), g2): _as_eis(coeff)})
 
@@ -218,189 +260,210 @@ class FockSpace:
         col = self._mask_pair(gamma2)[0]
         return -1 if bin(row & col).count("1") % 2 else 1
 
-    # -- heisenberg modes ----------------------------------------------------
+    # -- the integer mode kernel ------------------------------------------------
+    #
+    # The private routines below take terms as numerators over a common
+    # denominator and add (c * result) << shift to an _Accumulator.  Every
+    # rational factor they meet is an integer over a power of two, so each
+    # routine spends part of shift on its halvings; a routine asked for
+    # more halvings than its shift allows raises ValueError ("negative
+    # shift count") instead of rounding.
 
-    def heisenberg_mode(self, h: Sequence, m: int, s: FockState) -> FockState:
-        hq = tuple(Fraction(x) for x in h)
-        if len(hq) != self.dim:
-            raise ValueError("direction has wrong ambient dimension")
-        out = _Accumulator()
-        for (osc, g2), c in s.terms.items():
+    def _heisenberg(self, out: _Accumulator, h: Dict[int, int], m: int,
+                    terms: List[Num], cr: int, cz: int, shift: int) -> None:
+        """h(m) on terms for h = sum_k h[k] eps_k, h a sparse direction of
+        nonzero integers.
+
+        Only h(0) halves: its eigenvalue on e^gamma is h . gamma2 / 2.
+        """
+        for mono, br, bz in terms:
+            osc, g2 = mono
             if m == 0:
-                val = sum((x * y for x, y in zip(hq, g2) if y), Q(0)) / 2
-                if val:
-                    out.add((osc, g2), c * val)
+                v = sum(x * g2[k] for k, x in h.items())
+                landed = [(mono, v << (shift - 1))] if v else []
             elif m > 0:
-                for i, (n, k) in enumerate(osc):
-                    if n == m and hq[k]:
-                        rest = osc[:i] + osc[i + 1:]
-                        out.add((rest, g2), c * (m * hq[k]))
+                landed = [((osc[:i] + osc[i + 1:], g2), (m * h[k]) << shift)
+                          for i, (j, k) in enumerate(osc) if j == m and k in h]
             else:
-                n = -m
-                new_wt = _mono_weight((osc, g2)) + n
-                if new_wt > 2:
+                new_wt8 = _wt8(mono) - 8 * m
+                if new_wt8 > 16:
                     raise WeightOverflowError(
-                        f"h({m}) would create weight {new_wt}")
-                for k, x in enumerate(hq):
-                    if x:
-                        new_osc = tuple(sorted(osc + ((n, k),)))
-                        out.add((new_osc, g2), c * x)
-        return out.state()
+                        f"h({m}) would create weight {Q(new_wt8, 8)}")
+                landed = [((tuple(sorted(osc + ((-m, k),))), g2), x << shift)
+                          for k, x in h.items()]
+            if landed:
+                r, z = cr * br - cz * bz, cr * bz + cz * br - cz * bz
+                for new, f in landed:
+                    out.add(new, r * f, z * f)
 
-    # -- exponential modes ---------------------------------------------------
-
-    def exp_mode(self, beta: Sequence, n: int, s: FockState) -> FockState:
-        if n < -1:
-            raise ValueError("exp modes are supported for n >= -1")
-        beta2 = scaled_ints(beta, 2)
-        self._mask_pair(beta2)
-        out = _Accumulator()
-        self._exp_modes(out, {beta2: ONE}, n, s)
-        return out.state()
-
-    def _exp_modes(self, out: _Accumulator, a_exp: Dict[Gamma, Eisenstein],
-                   n: int, b: FockState) -> None:
-        """Add the n-th modes of sum_beta c_beta e^beta applied to b to out.
+    def _exp_modes(self, out: _Accumulator, a_exp: List[Num], n: int,
+                   b: List[Num], shift: int) -> None:
+        """The n-th modes of the pure exponentials a_exp applied to b.
 
         A pair (e^beta, monomial of b) can land a term only when
         d_max = -n - 1 - <beta, gamma> + W >= 0, W being the monomial's
         oscillator weight.  All pairings come from one exact int64 product
         of the doubled exponents (4 <beta, gamma>), and only the pairs that
-        pass the test reach the per-term kernel.
+        pass the test are expanded.  A landing term carries -beta_k for
+        each contracted oscillator and a creation layer of weight d, so it
+        halves at most (oscillators of b) + 3 times.
         """
-        if not a_exp or not b.terms:
+        if not a_exp or not b:
             return
-        betas = list(a_exp)
-        monos = list(b.terms)
-        S = np.array(betas, dtype=np.int64) @ np.array(
-            [g2 for _, g2 in monos], dtype=np.int64).T
+        A = np.array([g2 for (_, g2), _, _ in a_exp], dtype=np.int64)
+        B = np.array([g2 for (_, g2), _, _ in b], dtype=np.int64)
+        S = A @ B.T
         if (S % 4).any():
             raise ValueError("non-integral pairing between exponents")
-        W = np.array([sum(m for m, _ in osc) for osc, _ in monos], dtype=np.int64)
-        for i, j in np.argwhere(4 * (W - n - 1) - S >= 0):
-            beta2, mono = betas[i], monos[j]
-            self._exp_mode_term(out, beta2, n, mono, a_exp[beta2] * b.terms[mono])
-
-    def _exp_mode_term(self, out: _Accumulator, beta2: Gamma, n: int,
-                       mono: Monomial, coeff: Eisenstein) -> None:
-        osc, g2 = mono
-        beta_wt = Q(sum(x * x for x in beta2), 8)
-        out_wt = _mono_weight(mono) + beta_wt - n - 1
-        bg = Q(sum(x * y for x, y in zip(beta2, g2)), 4)
-        if bg.denominator != 1:
-            raise ValueError("non-integral pairing between exponents")
-        bg = int(bg)
-        sign = self._eps_sign(beta2, g2)
-        base = coeff * sign
-        new_g2 = tuple(a + b for a, b in zip(beta2, g2))
-        for subset in itertools.chain.from_iterable(
-                itertools.combinations(range(len(osc)), r) for r in range(len(osc) + 1)):
-            d = -n - 1 - bg + sum(osc[i][0] for i in subset)
-            if d < 0:
-                continue
-            factor = base
-            for i in subset:
-                _, k = osc[i]
-                bk = Q(beta2[k], 2)
-                if not bk:
-                    factor = None
-                    break
-                factor = factor * (-bk)
-            if factor is None or not factor:
-                continue
-            # a term really lands here, so the cap is enforced only now
-            if out_wt > 2 or d > 2:
-                raise WeightOverflowError(
-                    f"exp mode {n} would create weight {out_wt}")
-            rest = tuple(osc[i] for i in range(len(osc)) if i not in subset)
-            self._emit_creation_layer(out, rest, new_g2, d, beta2, factor)
+        W = np.array([sum(m for m, _ in osc) for (osc, _), _, _ in b], dtype=np.int64)
+        rows, cols = np.nonzero(4 * (W - n - 1) - S >= 0)
+        # 8 * (wt(monomial) + wt(e^beta) - n - 1), the weight every landing term has
+        out_wt8 = (np.einsum("ij,ij->i", A, A)[rows]
+                   + (8 * W + np.einsum("ij,ij->i", B, B))[cols] - 8 * (n + 1))
+        for i, j, bg, wt8, joined in zip(rows.tolist(), cols.tolist(),
+                                         (S[rows, cols] // 4).tolist(),
+                                         out_wt8.tolist(),
+                                         (A[rows] + B[cols]).tolist()):
+            (_, beta2), ar, az = a_exp[i]
+            (osc, g2), br, bz = b[j]
+            sign = self._eps_sign(beta2, g2)
+            r = sign * (ar * br - az * bz)
+            z = sign * (ar * bz + az * br - az * bz)
+            new_g2 = tuple(joined)
+            for subset in _subsets(len(osc)):
+                d = -n - 1 - bg
+                for t in subset:
+                    d += osc[t][0]
+                if d < 0:
+                    continue
+                f = 1
+                for t in subset:
+                    f *= -beta2[osc[t][1]]
+                if not f:
+                    continue
+                # a term really lands here, so the cap is enforced only now
+                if wt8 > 16 or d > 2:
+                    raise WeightOverflowError(
+                        f"exp mode {n} would create weight {Q(wt8, 8)}")
+                rest = tuple(o for t, o in enumerate(osc) if t not in subset)
+                self._emit_creation_layer(out, rest, new_g2, d, beta2,
+                                          r * f, z * f, shift - len(subset))
 
     def _emit_creation_layer(self, out: _Accumulator, osc: Osc, g2: Gamma,
-                             d: int, beta2: Gamma, coeff: Eisenstein) -> None:
+                             d: int, beta2: Gamma, r: int, z: int,
+                             shift: int) -> None:
+        """The weight-d part of exp(sum_j beta(-j) z^j / j) on osc e^g2:
+        1, beta(-1), or beta(-1)^2/2 + beta(-2)/2."""
         if d == 0:
-            out.add((osc, g2), coeff)
+            out.add((osc, g2), r << shift, z << shift)
             return
-        support = [(k, Q(x, 2)) for k, x in enumerate(beta2) if x]
+        support = [(k, x) for k, x in enumerate(beta2) if x]
         if d == 1:
-            for k, bk in support:
-                out.add((tuple(sorted(osc + ((1, k),))), g2), coeff * bk)
-            return
-        # d == 2: (1/2) beta(-1)^2 + (1/2) beta(-2)
-        for i, (k, bk) in enumerate(support):
-            for l, bl in support[i:]:
-                w = bk * bl if k != l else bk * bl / 2
-                out.add((tuple(sorted(osc + ((1, k), (1, l)))), g2), coeff * w)
-        for k, bk in support:
-            out.add((tuple(sorted(osc + ((2, k),))), g2), coeff * (bk / 2))
+            # beta_k = beta2[k] / 2
+            shift -= 1
+            layer = [(((1, k),), x) for k, x in support]
+        else:
+            # over 8: beta_k beta_l = 2 beta2[k] beta2[l], beta_k^2 / 2 =
+            # beta2[k]^2 and beta_k / 2 = 2 beta2[k]
+            shift -= 3
+            layer = [(((1, k), (1, l)), x * y if k == l else 2 * x * y)
+                     for i, (k, x) in enumerate(support) for l, y in support[i:]]
+            layer += [(((2, k),), 2 * x) for k, x in support]
+        for added, w in layer:
+            f = w << shift
+            out.add((tuple(sorted(osc + added)) if osc else added, g2), r * f, z * f)
 
-    # -- general modes of weight <= 2 states ----------------------------------
+    def _quad_mode(self, out: _Accumulator, k: int, l: int, n: int,
+                   b: List[Num], cr: int, cz: int, shift: int) -> None:
+        # (eps_k(-1)eps_l(-1)1)_n = sum_{m<=-1} k(m) l(n-1-m) + sum_{m>=0} l(n-1-m) k(m)
+        ek, el = {k: 1}, {l: 1}
+        for m in range(-2, 3):
+            inner = _Accumulator()
+            if m < 0:
+                self._heisenberg(inner, el, n - 1 - m, b, 1, 0, 1)
+                outer, m_outer = ek, m
+            else:
+                self._heisenberg(inner, ek, m, b, 1, 0, 1)
+                outer, m_outer = el, n - 1 - m
+            terms = inner.terms()
+            if terms:
+                self._heisenberg(out, outer, m_outer, terms, cr, cz, shift - 1)
+
+    def _mixed_mode(self, out: _Accumulator, k: int, g2: Gamma, n: int,
+                    b: List[Num], cr: int, cz: int, shift: int) -> None:
+        # (eps_k(-1)e^gamma)_n by the same normal-ordered splitting
+        ek, e_gamma = {k: 1}, [(((), g2), cr, cz)]
+        for m in range(-2, 0):
+            inner = _Accumulator()
+            self._exp_modes(inner, e_gamma, n - 1 - m, b, shift - 1)
+            terms = inner.terms()
+            if terms:
+                self._heisenberg(out, ek, m, terms, 1, 0, 1)
+        for m in range(0, 3):
+            inner = _Accumulator()
+            self._heisenberg(inner, ek, m, b, 1, 0, 1)
+            self._exp_modes(out, e_gamma, n - 1 - m, inner.terms(), shift - 1)
+
+    # -- public modes ----------------------------------------------------------
+
+    def heisenberg_mode(self, h: Sequence, m: int, s: FockState) -> FockState:
+        hq = tuple(Fraction(x) for x in h)
+        if len(hq) != self.dim:
+            raise ValueError("direction has wrong ambient dimension")
+        dh = math.lcm(*(x.denominator for x in hq))
+        direction = {k: x.numerator * (dh // x.denominator)
+                     for k, x in enumerate(hq) if x}
+        den, terms = _numerators(s)
+        out = _Accumulator()
+        self._heisenberg(out, direction, m, terms, 1, 0, 1)
+        return out.state(den * dh * 2)
+
+    def exp_mode(self, beta: Sequence, n: int, s: FockState) -> FockState:
+        beta2 = scaled_ints(beta, 2)
+        self._mask_pair(beta2)
+        den, terms = _numerators(s)
+        shift = max((len(osc) for (osc, _), _, _ in terms), default=0) + 3
+        out = _Accumulator()
+        self._exp_modes(out, [(((), beta2), 1, 0)], n, terms, shift)
+        return out.state(den << shift)
 
     def apply_mode(self, a: FockState, n: int, b: FockState) -> FockState:
+        da, a_terms = _numerators(a)
+        db, b_terms = _numerators(b)
+        # exponential modes halve at most (oscillators of b) + 3 times, and
+        # the eps_k(-1)e^gamma and quadratic states add one h(0) eigenvalue
+        shift = max((len(osc) for (osc, _), _, _ in b_terms), default=0) + 4
         out = _Accumulator()
-        a_exp: Dict[Gamma, Eisenstein] = {}
-        for mono, c in a.terms.items():
-            osc, g2 = mono
+        a_exp: List[Num] = []
+        for term in a_terms:
+            (osc, g2), cr, cz = term
             is_exp = any(g2)
             if not osc and not is_exp:
                 if n == -1:
-                    for m2, c2 in b.terms.items():
-                        out.add(m2, c * c2)
+                    for m2, br, bz in b_terms:
+                        out.add(m2, (cr * br - cz * bz) << shift,
+                                (cr * bz + cz * br - cz * bz) << shift)
                 continue
             if not osc:
-                a_exp[g2] = c
+                a_exp.append(term)
             elif not is_exp and len(osc) == 1 and osc[0][0] == 1:
-                k = osc[0][1]
-                self._merge(out, self.heisenberg_mode(self._unit(k), n, b), c)
+                self._heisenberg(out, {osc[0][1]: 1}, n, b_terms, cr, cz, shift)
             elif not is_exp and len(osc) == 1 and osc[0][0] == 2:
                 if n != 0:
-                    k = osc[0][1]
-                    self._merge(
-                        out, self.heisenberg_mode(self._unit(k), n - 1, b), c * (-n))
+                    self._heisenberg(out, {osc[0][1]: 1}, n - 1, b_terms,
+                                     -n * cr, -n * cz, shift)
             elif not is_exp and len(osc) == 2:
                 (n1, k) = osc[0]
                 (n2, l) = osc[1]
                 if (n1, n2) != (1, 1):
                     raise NotImplementedError("only weight-2 left states are supported")
-                self._quad_mode(out, k, l, n, b, c)
+                self._quad_mode(out, k, l, n, b_terms, cr, cz, shift)
             elif is_exp and len(osc) == 1 and osc[0][0] == 1:
-                self._mixed_mode(out, osc[0][1], g2, n, b, c)
+                self._mixed_mode(out, osc[0][1], g2, n, b_terms, cr, cz, shift)
             else:
                 raise NotImplementedError("left state exceeds weight 2")
-        self._exp_modes(out, a_exp, n, b)
-        return out.state()
-
-    def _unit(self, k: int) -> Tuple[Fraction, ...]:
-        return tuple(Q(1) if i == k else Q(0) for i in range(self.dim))
-
-    def _merge(self, out: _Accumulator, s: FockState, c: Eisenstein) -> None:
-        for mono, v in s.terms.items():
-            out.add(mono, v * c)
-
-    def _quad_mode(self, out: _Accumulator, k: int, l: int, n: int,
-                   b: FockState, coeff: Eisenstein) -> None:
-        # (eps_k(-1)eps_l(-1)1)_n = sum_{m<=-1} k(m) l(n-1-m) + sum_{m>=0} l(n-1-m) k(m)
-        ek, el = self._unit(k), self._unit(l)
-        for m in range(-2, 0):
-            inner = self.heisenberg_mode(el, n - 1 - m, b)
-            if inner:
-                self._merge(out, self.heisenberg_mode(ek, m, inner), coeff)
-        for m in range(0, 3):
-            inner = self.heisenberg_mode(ek, m, b)
-            if inner:
-                self._merge(out, self.heisenberg_mode(el, n - 1 - m, inner), coeff)
-
-    def _mixed_mode(self, out: _Accumulator, k: int, g2: Gamma, n: int,
-                    b: FockState, coeff: Eisenstein) -> None:
-        # (eps_k(-1)e^gamma)_n by the same normal-ordered splitting
-        ek = self._unit(k)
-        for m in range(-2, 0):
-            inner = _Accumulator()
-            self._exp_modes(inner, {g2: coeff}, n - 1 - m, b)
-            if inner.terms:
-                self._merge(out, self.heisenberg_mode(ek, m, inner.state()), ONE)
-        for m in range(0, 3):
-            inner = self.heisenberg_mode(ek, m, b)
-            self._exp_modes(out, {g2: coeff}, n - 1 - m, inner)
+        self._exp_modes(out, a_exp, n, b_terms, shift)
+        return out.state(da * db << shift)
 
     # -- Griess product and pairing -------------------------------------------
 
@@ -412,21 +475,25 @@ class FockSpace:
     def invariant_form(self, a: FockState, b: FockState) -> Eisenstein:
         if a.weight() != 2 or b.weight() != 2:
             raise ValueError("the weight-2 pairing needs homogeneous weight-2 states")
-        by_gamma: Dict[Gamma, List[Tuple[Osc, Eisenstein]]] = {}
-        for (osc, g2), c in b.terms.items():
-            by_gamma.setdefault(g2, []).append((osc, c))
-        total = ZERO
-        for (osc_a, g2), ca in a.terms.items():
-            neg = tuple(-x for x in g2)
+        da, a_terms = _numerators(a)
+        db, b_terms = _numerators(b)
+        by_gamma: Dict[Gamma, List[Tuple[Osc, int, int]]] = {}
+        for (osc, g2), br, bz in b_terms:
+            by_gamma.setdefault(g2, []).append((osc, br, bz))
+        re = zc = 0
+        for (osc_a, g2), ar, az in a_terms:
+            neg = tuple(map(operator.neg, g2))
             partners = by_gamma.get(neg)
             if not partners:
                 continue
             sign = self._eps_sign(g2, neg)
-            for osc_b, cb in partners:
-                val = _pair_value(osc_a, osc_b, g2)
+            for osc_b, br, bz in partners:
+                val = _pair_value4(osc_a, osc_b, g2) * sign
                 if val:
-                    total = total + ca * cb * (val * sign)
-        return total
+                    re += (ar * br - az * bz) * val
+                    zc += (ar * bz + az * br - az * bz) * val
+        den = 4 * da * db
+        return Eisenstein(Fraction(re, den), Fraction(zc, den))
 
     # -- standard states -------------------------------------------------------
 
@@ -492,21 +559,25 @@ class FockSpace:
 
     def translate(self, s: FockState) -> FockState:
         """L(-1) on weight <= 1 states."""
-        out = _Accumulator()
+        out: Dict[Monomial, Eisenstein] = {}
+
+        def add(mono: Monomial, c: Eisenstein) -> None:
+            out[mono] = out.get(mono, ZERO) + c
+
         for (osc, g2), c in s.terms.items():
-            w = _mono_weight((osc, g2))
-            if w == 0 and not any(g2):
+            w8 = _wt8((osc, g2))
+            if w8 == 0:
                 continue
-            if w > 1:
+            if w8 > 8:
                 raise WeightOverflowError("translation is only available below weight 2")
             if osc:
                 (n, k) = osc[0]
-                out.add((((n + 1, k),), g2), c * n)
+                add((((n + 1, k),), g2), c * n)
                 continue
             for k, x in enumerate(g2):
                 if x:
-                    out.add((((1, k),), g2), c * Q(x, 2))
-        return out.state()
+                    add((((1, k),), g2), c * Q(x, 2))
+        return FockState(out)
 
     # -- serialization -----------------------------------------------------------
 
@@ -515,7 +586,8 @@ class FockSpace:
         for (osc, g2) in sorted(s.terms, key=lambda m: (len(m[0]), m[0], m[1])):
             c = s.terms[(osc, g2)]
             osc_part = " ".join(
-                f"{n}:" + ",".join(str(x) for x in self._unit(k)) for n, k in osc)
+                f"{n}:" + ",".join("1" if i == k else "0" for i in range(self.dim))
+                for n, k in osc)
             gamma_part = " ".join(str(Q(x, 2)) for x in g2)
             lines.append(f"{c.re} {c.zc} | {osc_part} | {gamma_part}")
         return "\n".join(lines) + "\n"
@@ -769,27 +841,23 @@ def real_form_components(family: AxisFamily
     return x0, x1, x2
 
 
-def _pair_value(osc_a: Osc, osc_b: Osc, g2: Gamma) -> Optional[Fraction]:
-    """Closed form of the vacuum coefficient of a_3 b on a monomial pair
-    with opposite exponents, before the cocycle sign."""
+def _pair_value4(osc_a: Osc, osc_b: Osc, g2: Gamma) -> int:
+    """Four times the closed form of the vacuum coefficient of a_3 b on a
+    monomial pair with opposite exponents, before the cocycle sign."""
     la, lb = len(osc_a), len(osc_b)
     if la != lb:
-        return None
+        return 0
     if la == 0:
-        return Q(1)
+        return 4
     if la == 1:
         (na, k), (nb, l) = osc_a[0], osc_b[0]
         if na != nb:
-            return None
+            return 0
         if na == 2:
-            return Q(-6) if k == l else None
-        val = Q(g2[k] * g2[l], 4)
-        if k == l:
-            val += 1
-        return val or None
+            return -24 if k == l else 0
+        return g2[k] * g2[l] + (4 if k == l else 0)
     (k, l) = osc_a[0][1], osc_a[1][1]
     (p, q) = osc_b[0][1], osc_b[1][1]
     if any(n != 1 for n, _ in osc_a + osc_b):
-        return None
-    val = Q((1 if (k, l) == (p, q) else 0) + (1 if (k, l) == (q, p) else 0))
-    return val or None
+        return 0
+    return 4 * ((1 if (k, l) == (p, q) else 0) + (1 if (k, l) == (q, p) else 0))

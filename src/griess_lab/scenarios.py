@@ -4,7 +4,9 @@ Every check computes an exact value (rationals or Eisenstein integers) and
 compares it with a frozen expected value; a check passes only on literal
 equality, there is no tolerance anywhere.  Reports are deterministic
 functions of (package version, seed): check timings are zeroed unless
-explicitly requested so repeated runs emit identical bytes.
+explicitly requested so repeated runs emit identical bytes.  A check that
+raises is reported with status "error" and the exception's type and
+message; the other checks still run and keep their results.
 """
 
 from __future__ import annotations
@@ -100,6 +102,10 @@ class VerificationReport:
     @property
     def failures(self) -> Tuple[str, ...]:
         return tuple(r.id for r in self.results if not r.ok)
+
+    @property
+    def errors(self) -> Tuple[str, ...]:
+        return tuple(r.id for r in self.results if r.status == "error")
 
 
 def render(value) -> str:
@@ -703,12 +709,17 @@ SUITE_NAMES: Tuple[str, ...] = tuple(SUITES)
 def _run_check(ctx: SuiteContext, check_id: str, timing: bool) -> CheckResult:
     defn = CHECKS[check_id]
     start = time.perf_counter()
-    computed, expected = defn.fn(ctx)
+    try:
+        computed, expected = defn.fn(ctx)
+        computed_s, expected_s = render(computed), render(expected)
+        status = "pass" if computed_s == expected_s else "fail"
+    except Exception as exc:  # one crashing check must not sink the report
+        computed_s, expected_s = f"{type(exc).__name__}: {exc}", ""
+        status = "error"
     elapsed = int(round((time.perf_counter() - start) * 1000)) if timing else 0
-    computed_s, expected_s = render(computed), render(expected)
     return CheckResult(
         id=defn.id,
-        status="pass" if computed_s == expected_s else "fail",
+        status=status,
         computed=computed_s,
         expected=expected_s,
         provenance=defn.provenance,
@@ -806,7 +817,10 @@ def report_dict(report: VerificationReport) -> dict:
     }
 
 
-def emit_report(report: VerificationReport, format: str = "text") -> str:
+def emit_report(report: VerificationReport, format: str = "text",
+                timing: bool = False) -> str:
+    """Render a report; timing adds each check's elapsed_ms to text lines
+    (JSON always carries the field)."""
     if format == "json":
         return json.dumps(report_dict(report), indent=2) + "\n"
     if format == "text":
@@ -814,12 +828,16 @@ def emit_report(report: VerificationReport, format: str = "text") -> str:
                  f"version: {report.version}",
                  f"seed: {report.seed}"]
         for r in report.results:
-            mark = "PASS" if r.ok else "FAIL"
+            mark = r.status.upper()
             line = f"[{mark}] {r.id}  computed {r.computed}"
-            if not r.ok:
+            if r.status == "fail":
                 line += f"  expected {r.expected}"
+            if timing:
+                line += f"  ({r.elapsed_ms} ms)"
             lines.append(line)
-        failed = len(report.failures)
-        lines.append(f"{len(report.results)} checks, {failed} failed")
+        summary = f"{len(report.results)} checks, {len(report.failures)} failed"
+        if report.errors:
+            summary += f" ({len(report.errors)} with errors)"
+        lines.append(summary)
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {format!r}; expected json or text")

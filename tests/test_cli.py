@@ -169,6 +169,53 @@ class TestVerifyCommand:
         assert "failing checks: zz.01.bad" in err
 
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_raising_check_exits_three(self, cache_dir, monkeypatch, capsys,
+                                       jobs):
+        def boom(ctx):
+            raise ArithmeticError("no inverse")
+
+        def good(ctx):
+            return 1, 1
+
+        monkeypatch.setitem(scenarios.CHECKS, "zz.01.boom",
+                            CheckDef("zz.01.boom", "raises",
+                                     "frozen-constant", boom))
+        monkeypatch.setitem(scenarios.CHECKS, "zz.02.good",
+                            CheckDef("zz.02.good", "passes",
+                                     "frozen-constant", good))
+        monkeypatch.setitem(scenarios.SUITES, "zz-demo",
+                            ("zz.01.boom", "zz.02.good"))
+        monkeypatch.setattr(cli, "SUITE_NAMES",
+                            cli.SUITE_NAMES + ("zz-demo",))
+        code, out, err = run_main(
+            ["verify", "--suite", "zz-demo", "--format", "json", "--jobs", jobs,
+             "--cache-dir", cache_dir], capsys)
+        assert code == 3
+        results = json.loads(out)["results"]
+        assert [(r["id"], r["status"], r["computed"]) for r in results] == [
+            ("zz.01.boom", "error", "ArithmeticError: no inverse"),
+            ("zz.02.good", "pass", "1")]
+        assert "checks that raised: zz.01.boom" in err
+
+    def test_timing_flag(self, cache_dir, capsys):
+        argv = ["verify", "--suite", "central-charges", "--format", "json",
+                "--seed", "7", "--cache-dir", cache_dir]
+        _, plain, _ = run_main(argv, capsys)
+        _, again, _ = run_main(argv, capsys)
+        code, timed, _ = run_main(argv + ["--timing"], capsys)
+        assert plain == again
+        assert all(r["elapsed_ms"] == 0 for r in json.loads(plain)["results"])
+        assert code == 0
+        assert any(r["elapsed_ms"] > 0 for r in json.loads(timed)["results"])
+        text_code, text, _ = run_main(
+            ["verify", "--suite", "cocycle", "--timing",
+             "--cache-dir", cache_dir], capsys)
+        assert text_code == 0
+        assert all(ln.endswith(" ms)") for ln in text.splitlines()
+                   if ln.startswith("[PASS]"))
+
+
 class TestInspectCommand:
     def test_lattice(self, cache_dir, capsys):
         code, out, _ = run_main(

@@ -1,11 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from griess_lab.fock import (
+    FockSpace,
     FockState,
     WeightOverflowError,
-    _Accumulator,
     _root_current,
     check_commutant_annihilation,
     parafermion_omega,
@@ -14,7 +15,8 @@ from griess_lab.fock import (
     sugawara_expressions,
     sugawara_omega,
 )
-from griess_lab.lattice import EmbeddingMaps, block_embed, lattice_sum, shell
+from griess_lab.lattice import (
+    EmbeddingMaps, block_embed, build_standard, lattice_sum, shell)
 from griess_lab.numerics import Eisenstein, ONE, Q, ZETA
 
 
@@ -131,6 +133,15 @@ class TestExpMode:
             sp.exp_mode(beta, -1, sp.exp_state(gamma))
 
 
+    def test_mode_below_minus_one_matches_apply_mode(self):
+        # beta(-1)e^beta: the public method goes through the same kernel
+        sp = FockSpace(build_standard("A", 2))
+        beta = (1, -1, 0)
+        got = sp.exp_mode(beta, -2, sp.vacuum())
+        assert got == sp.apply_mode(sp.exp_state(beta), -2, sp.vacuum())
+        assert len(got) == 2
+
+
 class TestGriessProduct:
     def test_full_virasoro_acts_as_two(self, family):
         sp = family.space
@@ -160,7 +171,7 @@ class TestGriessProduct:
         e_m, e_n = family.axes[0][0], family.axes[0][1]
         exp_part = FockState({m: c for m, c in e_m.terms.items() if not m[0]})
         osc_part = e_m - exp_part
-        want = _per_pair_exp_modes(sp, exp_part, 1, e_n)
+        want = _reference_apply_mode(sp, exp_part, 1, e_n)
         want = want + sp.apply_mode(osc_part, 1, e_n)
         assert sp.griess_product(e_m, e_n) == want
 
@@ -201,15 +212,147 @@ def _random_weight2_state(space, family, rng, nterms=6):
     return s
 
 
-def _per_pair_exp_modes(space, a, n, b):
-    """Reference for modes of a pure-exponential state: every (exponent,
-    monomial) pair goes through the per-term kernel, with no prefilter."""
-    out = _Accumulator()
+# -- test-only reference engine ---------------------------------------------------
+#
+# A Fraction/Eisenstein mode engine kept apart from the integer kernel in
+# griess_lab.fock: the same normal-ordered splittings, but every rational
+# factor is a Fraction, Heisenberg modes dot dense unit vectors, and every
+# (exponent, monomial) pair goes through the per-term kernel with no
+# prefilter.  Only the cocycle sign comes from the space.
+
+
+class _RefAccumulator:
+    def __init__(self):
+        self.terms = {}
+
+    def add(self, mono, c):
+        s = self.terms.get(mono)
+        s = c if s is None else s + c
+        if s:
+            self.terms[mono] = s
+        else:
+            self.terms.pop(mono, None)
+
+    def merge(self, terms, c):
+        for mono, v in terms.items():
+            self.add(mono, v * c)
+
+
+def _ref_weight(mono):
+    osc, g2 = mono
+    return sum(n for n, _ in osc) + Q(sum(x * x for x in g2), 8)
+
+
+def _ref_heisenberg(h, m, terms):
+    hq = tuple(Q(x) for x in h)
+    out = _RefAccumulator()
+    for (osc, g2), c in terms.items():
+        if m == 0:
+            val = sum((x * y for x, y in zip(hq, g2) if y), Q(0)) / 2
+            if val:
+                out.add((osc, g2), c * val)
+        elif m > 0:
+            for i, (n, k) in enumerate(osc):
+                if n == m and hq[k]:
+                    out.add((osc[:i] + osc[i + 1:], g2), c * (m * hq[k]))
+        else:
+            if _ref_weight((osc, g2)) - m > 2:
+                raise WeightOverflowError(f"h({m}) overflows")
+            for k, x in enumerate(hq):
+                if x:
+                    out.add((tuple(sorted(osc + ((-m, k),))), g2), c * x)
+    return out.terms
+
+
+def _ref_emit_creation_layer(out, osc, g2, d, beta2, coeff):
+    if d == 0:
+        out.add((osc, g2), coeff)
+        return
+    support = [(k, Q(x, 2)) for k, x in enumerate(beta2) if x]
+    if d == 1:
+        for k, bk in support:
+            out.add((tuple(sorted(osc + ((1, k),))), g2), coeff * bk)
+        return
+    # d == 2: (1/2) beta(-1)^2 + (1/2) beta(-2)
+    for i, (k, bk) in enumerate(support):
+        for l, bl in support[i:]:
+            w = bk * bl if k != l else bk * bl / 2
+            out.add((tuple(sorted(osc + ((1, k), (1, l)))), g2), coeff * w)
+    for k, bk in support:
+        out.add((tuple(sorted(osc + ((2, k),))), g2), coeff * (bk / 2))
+
+
+def _ref_exp_mode_term(space, out, beta2, n, mono, coeff):
+    osc, g2 = mono
+    out_wt = _ref_weight(mono) + Q(sum(x * x for x in beta2), 8) - n - 1
+    bg = Q(sum(x * y for x, y in zip(beta2, g2)), 4)
+    if bg.denominator != 1:
+        raise ValueError("non-integral pairing between exponents")
+    base = coeff * space._eps_sign(beta2, g2)
+    new_g2 = tuple(a + b for a, b in zip(beta2, g2))
+    for subset in itertools.chain.from_iterable(
+            itertools.combinations(range(len(osc)), r) for r in range(len(osc) + 1)):
+        d = -n - 1 - int(bg) + sum(osc[i][0] for i in subset)
+        if d < 0:
+            continue
+        factor = base
+        for i in subset:
+            factor = factor * (-Q(beta2[osc[i][1]], 2))
+        if not factor:
+            continue
+        if out_wt > 2 or d > 2:
+            raise WeightOverflowError(f"exp mode {n} overflows")
+        rest = tuple(osc[i] for i in range(len(osc)) if i not in subset)
+        _ref_emit_creation_layer(out, rest, new_g2, d, beta2, factor)
+
+
+def _ref_exp_modes(space, out, a_exp, n, b_terms):
+    for beta2, c in a_exp.items():
+        for mono, c2 in b_terms.items():
+            _ref_exp_mode_term(space, out, beta2, n, mono, c * c2)
+
+
+def _reference_apply_mode(space, a, n, b):
+    """apply_mode(a, n, b) computed by the reference engine."""
+    unit = [tuple(1 if i == k else 0 for i in range(space.dim))
+            for k in range(space.dim)]
+    out = _RefAccumulator()
+    a_exp = {}
     for (osc, g2), c in a.terms.items():
-        assert not osc
-        for mono, c2 in b.terms.items():
-            space._exp_mode_term(out, g2, n, mono, c * c2)
-    return out.state()
+        is_exp = any(g2)
+        if not osc and not is_exp:
+            if n == -1:
+                out.merge(b.terms, c)
+        elif not osc:
+            a_exp[g2] = c
+        elif not is_exp and osc == ((1, osc[0][1]),):
+            out.merge(_ref_heisenberg(unit[osc[0][1]], n, b.terms), c)
+        elif not is_exp and osc == ((2, osc[0][1]),):
+            if n != 0:
+                out.merge(_ref_heisenberg(unit[osc[0][1]], n - 1, b.terms), c * (-n))
+        elif not is_exp and len(osc) == 2:
+            ek, el = unit[osc[0][1]], unit[osc[1][1]]
+            for m in range(-2, 0):
+                inner = _ref_heisenberg(el, n - 1 - m, b.terms)
+                if inner:
+                    out.merge(_ref_heisenberg(ek, m, inner), c)
+            for m in range(0, 3):
+                inner = _ref_heisenberg(ek, m, b.terms)
+                if inner:
+                    out.merge(_ref_heisenberg(el, n - 1 - m, inner), c)
+        else:
+            assert is_exp and len(osc) == 1 and osc[0][0] == 1
+            ek = unit[osc[0][1]]
+            for m in range(-2, 0):
+                inner = _RefAccumulator()
+                _ref_exp_modes(space, inner, {g2: c}, n - 1 - m, b.terms)
+                if inner.terms:
+                    out.merge(_ref_heisenberg(ek, m, inner.terms), ONE)
+            for m in range(0, 3):
+                inner = _ref_heisenberg(ek, m, b.terms)
+                _ref_exp_modes(space, out, {g2: c}, n - 1 - m, inner)
+    _ref_exp_modes(space, out, a_exp, n, b.terms)
+    return FockState(out.terms)
 
 
 def _outcome(fn):
@@ -235,9 +378,65 @@ class TestExpModesPrefilter:
             for b in rights:
                 for n in range(4):
                     got = _outcome(lambda: sp.apply_mode(a, n, b))
-                    assert got == _outcome(lambda: _per_pair_exp_modes(sp, a, n, b))
+                    assert got == _outcome(lambda: _reference_apply_mode(sp, a, n, b))
                     landed += isinstance(got, FockState) and not got.is_zero()
         assert landed >= 10
+
+
+class TestIntegerKernel:
+    def test_apply_mode_matches_reference_engine(self, family, cache):
+        # every left-state kind, coefficients over 3 and 4, n = -1 .. 3
+        sp = family.space
+        rng = random.Random(20261019)
+        roots = [block_embed(r, rng.randrange(3), 3)
+                 for r in shell(family.e8, 2, cache).vectors[:60]]
+        quartic = shell(family.M, 4, cache).vectors + shell(family.N, 4, cache).vectors
+        third_quarter = Q(1, 3) + ZETA * Q(1, 4)
+
+        def coeff():
+            return third_quarter * Q(rng.choice([1, -2, 5]), rng.choice([1, 3, 4]))
+
+        def e(k, n=1):
+            return (unit(24, k), n)
+
+        def k_():
+            return rng.randrange(24)
+
+        def mixed(c):
+            gamma = roots[rng.randrange(len(roots))]
+            k = rng.choice([i for i, x in enumerate(gamma) if x])
+            return sp.heisenberg_mode(unit(24, k), -1, sp.exp_state(gamma, c))
+
+        lefts = {
+            "vacuum": lambda c: sp.vacuum().scale(c),
+            "eps(-1)": lambda c: sp.oscillator_state([e(k_())], c),
+            "eps(-2)": lambda c: sp.oscillator_state([e(k_(), 2)], c),
+            "eps eps": lambda c: sp.oscillator_state([e(k_()), e(k_())], c),
+            "eps(-1)e^gamma": mixed,
+            "e^beta": lambda c: sp.exp_state(
+                rng.choice([roots[rng.randrange(len(roots))],
+                            quartic[rng.randrange(len(quartic))]]), c),
+        }
+        rights = [
+            sp.vacuum().scale(coeff()),
+            sp.oscillator_state([e(k_())], coeff()) + sp.exp_state(
+                roots[rng.randrange(len(roots))], coeff()),
+            sp.exp_state(quartic[rng.randrange(len(quartic))], coeff()) + mixed(coeff()),
+            family.axis(1, 2),
+            _random_weight2_state(sp, family, rng, 8),
+            _random_weight2_state(sp, family, rng, 8).scale(third_quarter),
+        ]
+        landed = {kind: 0 for kind in lefts}
+        for kind, make in lefts.items():
+            for _ in range(2):
+                a = make(coeff())
+                for b in rights:
+                    for n in range(-1, 4):
+                        got = _outcome(lambda: sp.apply_mode(a, n, b))
+                        want = _outcome(lambda: _reference_apply_mode(sp, a, n, b))
+                        assert got == want, (kind, n)
+                        landed[kind] += isinstance(got, FockState) and not got.is_zero()
+        assert all(landed.values()), landed
 
 
 class TestInvariantForm:

@@ -186,3 +186,61 @@ class TestFailurePath:
         with pytest.raises(RuntimeError, match="exceeded bound"):
             ctx = scenarios.SuiteContext(cache, 1, closure_bound=5)
             CHECKS["abstract.09.miyamoto-group"].fn(ctx)
+
+
+@pytest.fixture
+def raising_suite(monkeypatch):
+    def arithmetic(ctx):
+        raise ArithmeticError("no inverse")
+
+    def value(ctx):
+        raise ValueError("exponent is not a lattice vector")
+
+    def bad(ctx):
+        return Q(1, 2), Q(1, 3)
+
+    def good(ctx):
+        return 1, 1
+
+    defs = [("zz.01.arith", arithmetic), ("zz.02.value", value),
+            ("zz.03.bad", bad), ("zz.04.good", good)]
+    for check_id, fn in defs:
+        monkeypatch.setitem(CHECKS, check_id,
+                            CheckDef(check_id, "demo", "frozen-constant", fn))
+    monkeypatch.setitem(SUITES, "zz-raising", tuple(i for i, _ in reversed(defs)))
+    return "zz-raising"
+
+
+class TestFaultIsolation:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_checks_keep_the_report(self, cache, raising_suite, jobs):
+        report = run_suite(raising_suite, cache=cache, jobs=jobs)
+        assert [(r.id, r.status, r.computed, r.expected) for r in report.results] == [
+            ("zz.01.arith", "error", "ArithmeticError: no inverse", ""),
+            ("zz.02.value", "error",
+             "ValueError: exponent is not a lattice vector", ""),
+            ("zz.03.bad", "fail", "1/2", "1/3"),
+            ("zz.04.good", "pass", "1", "1"),
+        ]
+        assert report.failures == ("zz.01.arith", "zz.02.value", "zz.03.bad")
+        assert report.errors == ("zz.01.arith", "zz.02.value")
+        text = emit_report(report, "text")
+        assert "[ERROR] zz.01.arith  computed ArithmeticError: no inverse\n" in text
+        assert "[FAIL] zz.03.bad  computed 1/2  expected 1/3\n" in text
+        assert text.endswith("4 checks, 3 failed (2 with errors)\n")
+        doc = json.loads(emit_report(report, "json"))
+        assert [row["status"] for row in doc["results"]] == [
+            "error", "error", "fail", "pass"]
+
+    def test_serial_and_parallel_bytes_agree(self, cache, raising_suite):
+        serial = emit_report(run_suite(raising_suite, cache=cache), "json")
+        parallel = emit_report(run_suite(raising_suite, cache=cache, jobs=2), "json")
+        assert serial == parallel
+
+    def test_text_timing_column_is_opt_in(self, cache):
+        report = run_suite("central-charges", cache=cache, timing=True)
+        plain = emit_report(report, "text")
+        timed = emit_report(report, "text", timing=True)
+        assert " ms)" not in plain
+        line = next(ln for ln in timed.splitlines() if ln.startswith("[PASS]"))
+        assert line.endswith(f"({report.results[0].elapsed_ms} ms)")

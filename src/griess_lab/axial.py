@@ -6,17 +6,19 @@ commutativity and form-associativity laws on construction.  On top of that
 live the two concrete algebras of interest (the 3-dimensional 3C algebra
 and its 9-dimensional sibling spanned by nine pairwise 3C axes), Virasoro
 certification, adjoint spectra, the Miyamoto involutions, finite matrix
-group closure, and central-charge bookkeeping for affine and parafermion
-cosets.
+groups, and central-charge bookkeeping for affine and parafermion cosets.
+A finite matrix group is closed, and its orders and conjugacy checked, on
+the permutations it induces on the orbit of the standard basis; each
+element's matrix is built once, from its basis images.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .numerics import Matrix, Q, dot
 
@@ -103,13 +105,15 @@ class LinearEndo:
 
 def verify_automorphism(A: StructureAlgebra, m: Matrix) -> bool:
     d = A.dim
+    if (m.nrows, m.ncols) != (d, d):
+        raise ValueError("shape mismatch")
+    images = m.transpose().rows  # images[i] = m e_i
+    gram_images = [A.gram.matvec(t) for t in images]
     for i in range(d):
         for j in range(i, d):
-            ti = m.matvec(A.unit(i))
-            tj = m.matvec(A.unit(j))
-            if A.multiply(ti, tj) != m.matvec(A.table[i][j]):
+            if A.multiply(images[i], images[j]) != m.matvec(A.table[i][j]):
                 return False
-            if A.form(ti, tj) != A.gram.rows[i][j]:
+            if dot(images[i], gram_images[j]) != A.gram.rows[i][j]:
                 return False
     return True
 
@@ -266,9 +270,9 @@ def miyamoto_sigma(A: StructureAlgebra, e: Sequence) -> LinearEndo:
     minus = list(spaces.get(HALF, []))
     m = _involution_from_split(A, plus, minus)
     fixed = [v for lam in (Q(2), Q(0), HALF) for v in spaces.get(lam, [])]
-    for x in fixed:
-        for y in fixed:
-            tx, ty = m.matvec(x), m.matvec(y)
+    images = [m.matvec(x) for x in fixed]
+    for x, tx in zip(fixed, images):
+        for y, ty in zip(fixed, images):
             if A.multiply(tx, ty) != m.matvec(A.multiply(x, y)):
                 raise ValueError("sigma fails to preserve the fixed subalgebra")
             if A.form(tx, ty) != A.form(x, y):
@@ -278,22 +282,32 @@ def miyamoto_sigma(A: StructureAlgebra, e: Sequence) -> LinearEndo:
 
 # -- finite matrix groups --------------------------------------------------------
 
+Perm = Tuple[int, ...]
+
 
 @dataclass(frozen=True)
 class MatrixGroup:
+    """A finite matrix group computing on the permutations its elements
+    induce on the orbit of the standard basis, a faithful action."""
+
     generators: Tuple[LinearEndo, ...]
     elements: Tuple[Matrix, ...]
+    perm_of: Dict[Matrix, Perm] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    def _perm(self, m: Matrix) -> Perm:
+        if m not in self.perm_of:
+            raise ValueError("matrix is not an element of the group")
+        return self.perm_of[m]
+
     def element_order(self, m: Matrix) -> int:
-        ident = Matrix.identity(len(m.rows))
-        p, n = m, 1
-        while p != ident:
-            p = p.matmul(m)
-            n += 1
+        p = q = self._perm(m)
+        n = 1
+        while q != tuple(range(len(p))):
+            q, n = tuple(q[k] for k in p), n + 1
             if n > self.order:
                 raise RuntimeError("order computation exceeded group size")
         return n
@@ -304,32 +318,19 @@ class MatrixGroup:
     def order_three_part(self) -> List[Matrix]:
         return [m for m in self.elements if self.element_order(m) in (1, 3)]
 
-    @cached_property
-    def _inverses(self) -> Dict[Matrix, Matrix]:
-        return {g: g.inverse() for g in self.elements}
+    def _conjugates(self, s: Perm) -> Set[Perm]:
+        # g s g^-1 sends g[k] to g[s[k]]
+        return {tuple(c for _, c in sorted(zip(g, (g[k] for k in s))))
+                for g in self.perm_of.values()}
 
     def is_normal(self, subset: Sequence[Matrix]) -> bool:
-        sub = set(subset)
-        for g, gi in self._inverses.items():
-            for s in subset:
-                if g.matmul(s).matmul(gi) not in sub:
-                    return False
-        return True
+        sub = {self._perm(m) for m in subset}
+        return all(self._conjugates(s) <= sub for s in sub)
 
     def conjugacy_closed(self, seeds: Sequence[Matrix]) -> bool:
         """All seeds lie in a single conjugacy orbit."""
-        if not seeds:
-            return True
-        orbit = {seeds[0]}
-        frontier = [seeds[0]]
-        while frontier:
-            x = frontier.pop()
-            for g, gi in self._inverses.items():
-                y = g.matmul(x).matmul(gi)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return all(s in orbit for s in seeds)
+        return not seeds or ({self._perm(m) for m in seeds}
+                             <= self._conjugates(self._perm(seeds[0])))
 
     def shape_certificate(self) -> Dict[str, object]:
         """Invariants recognizing the order-18 extension of a nine-element
@@ -346,27 +347,44 @@ class MatrixGroup:
         }
 
 
+def _orbit(start: Sequence, maps: Sequence, act: Callable, cap: int,
+           bound: int) -> Tuple[list, List[List[int]]]:
+    """The closure of `start` under act(f, .) for f in maps, with each map
+    as the list of its images' indices; RuntimeError past `cap` points."""
+    points = list(start)
+    index = {x: k for k, x in enumerate(points)}
+    images: List[List[int]] = [[] for _ in maps]
+    for x in points:  # the list grows while it is walked
+        for f, img in zip(maps, images):
+            y = act(f, x)
+            if y not in index:
+                if len(points) >= cap:
+                    raise RuntimeError(f"closure exceeded bound {bound}")
+                index[y] = len(points)
+                points.append(y)
+            img.append(index[y])
+    return points, images
+
+
 def group_closure(gens: Sequence[LinearEndo], bound: int = 10 ** 4) -> MatrixGroup:
+    """The generated group, closed as permutations of the orbit X of the
+    standard basis; each element's matrix is read off its basis images.
+    At most `bound` elements and dim * bound points of X."""
     for g in gens:
         if not g.automorphism:
             raise ValueError("generators must be verified automorphisms")
     mats = [g.matrix for g in gens]
     if not mats:
         raise ValueError("no generators")
-    ident = Matrix.identity(len(mats[0].rows))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for m in mats:
-            y = x.matmul(m)
-            if y not in seen:
-                if len(seen) >= bound:
-                    raise RuntimeError(f"closure exceeded bound {bound}")
-                seen.add(y)
-                frontier.append(y)
-    elements = tuple(sorted(seen, key=lambda m: m.rows))
-    return MatrixGroup(generators=tuple(gens), elements=elements)
+    dim = mats[0].nrows
+    points, images = _orbit(Matrix.identity(dim).rows, mats, Matrix.matvec,
+                            dim * bound, bound)
+    perms, _ = _orbit([tuple(range(len(points)))], images,
+                      lambda img, x: tuple(x[k] for k in img), bound, bound)
+    perm_of = {Matrix(list(zip(*(points[p[c]] for c in range(dim))))): p
+               for p in perms}
+    return MatrixGroup(tuple(gens), tuple(sorted(perm_of, key=lambda m: m.rows)),
+                       perm_of)
 
 
 # -- eigenvalue frames -----------------------------------------------------------

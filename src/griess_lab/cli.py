@@ -187,12 +187,19 @@ def resolve_state_expr(expr: str, cache: DiskCache):
 EXIT_CHECK_ERROR = 3
 
 
-def cmd_verify(cfg: Config, out=None, err=None, timing: bool = False) -> int:
+def cmd_verify(cfg: Config, out=None, err=None, timing: bool = False,
+               progress: bool = False) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+
+    def report_progress(k: int, n: int, r) -> None:
+        err.write(f"[{k}/{n}] {r.id} {r.status} ({r.elapsed_ms} ms)\n")
+        err.flush()
+
     report = run_suite(cfg.suite, seed=cfg.seed, jobs=cfg.jobs,
                        cache=DiskCache(cfg.cache_dir),
-                       timing=timing, closure_bound=cfg.closure_bound)
+                       timing=timing, closure_bound=cfg.closure_bound,
+                       progress=report_progress if progress else None)
     out.write(emit_report(report, cfg.format, timing=timing))
     if not report.ok:
         err.write("failing checks: " + ", ".join(report.failures) + "\n")
@@ -296,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--timing", action="store_true",
                           help="fill each check's elapsed_ms (the report "
                                "bytes then vary from run to run)")
+    p_verify.add_argument("--progress", action="store_true",
+                          help="print `[k/N] <check-id> <status> (<ms> ms)` "
+                               "to stderr as each check finishes")
 
     p_inspect = sub.add_parser("inspect", parents=[common],
                                help="print lattices, shells, or state dumps")
@@ -322,7 +332,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         if args.command == "verify":
-            return cmd_verify(cfg, timing=args.timing)
+            return cmd_verify(cfg, timing=args.timing, progress=args.progress)
         if args.command == "inspect":
             if args.dump_state:
                 return cmd_inspect(cfg, ["state-dump", args.dump_state])

@@ -63,6 +63,30 @@ def scaled_ints(v: Sequence, scale: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def int_adjugate(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """(adj, d) with M^{-1} == adj / d for a nonsingular integer matrix M.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I]: every
+    division by the previous pivot is exact, and the left block ends as
+    d * I with d = +-det M, so the right block is d * M^{-1} in integers.
+    """
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        m[k], m[p] = m[p], m[k]
+        pk, rk = m[k][k], m[k]
+        for i in range(n):
+            if i != k:
+                f, ri = m[i][k], m[i]
+                m[i] = [(pk * a - f * b) // prev for a, b in zip(ri, rk)]
+        prev = pk
+    return [r[n:] for r in m], prev
+
+
 def _fraction_rows(rows: List[Tuple[int, ...]], den: int) -> Tuple[QVec, ...]:
     """rows / den as Fraction tuples, building one Fraction per distinct entry."""
     memo = {x: Fraction(x, den) for x in {x for r in rows for x in r}}
@@ -127,12 +151,8 @@ class Lattice:
         coords(v) = (v . num) / den.
         """
         lb, rows = self._int_basis
-        ginv = Matrix([[Q(x) for x in r] for r in self._int_gram]).inverse()
-        gden = 1
-        for r in ginv.rows:
-            for x in r:
-                gden = _lcm(gden, x.denominator)
-        gnum = [[x.numerator * (gden // x.denominator) for x in r] for r in ginv.rows]
+        # G is positive definite, so no row swaps occur and gden = det G > 0
+        gnum, gden = int_adjugate(self._int_gram)
         cols = [[lb * sum(rows[i][col] * gnum[i][j] for i in range(self.rank))
                  for j in range(self.rank)] for col in range(self.ambient_dim)]
         g = gden

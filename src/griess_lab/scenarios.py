@@ -15,9 +15,9 @@ import json
 import multiprocessing
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .axial import (
@@ -706,7 +706,7 @@ SUITES["all"] = (SUITES["lattice-combinatorics"] + SUITES["cocycle"]
 SUITE_NAMES: Tuple[str, ...] = tuple(SUITES)
 
 
-def _run_check(ctx: SuiteContext, check_id: str, timing: bool) -> CheckResult:
+def _run_check(ctx: SuiteContext, check_id: str) -> CheckResult:
     defn = CHECKS[check_id]
     start = time.perf_counter()
     try:
@@ -716,7 +716,7 @@ def _run_check(ctx: SuiteContext, check_id: str, timing: bool) -> CheckResult:
     except Exception as exc:  # one crashing check must not sink the report
         computed_s, expected_s = f"{type(exc).__name__}: {exc}", ""
         status = "error"
-    elapsed = int(round((time.perf_counter() - start) * 1000)) if timing else 0
+    elapsed = int(round((time.perf_counter() - start) * 1000))
     return CheckResult(
         id=defn.id,
         status=status,
@@ -729,19 +729,42 @@ def _run_check(ctx: SuiteContext, check_id: str, timing: bool) -> CheckResult:
 
 
 _POOL_CTX: Optional[SuiteContext] = None
-_POOL_TIMING = False
 
 
 def _pool_run(check_id: str) -> CheckResult:
-    return _run_check(_POOL_CTX, check_id, _POOL_TIMING)
+    return _run_check(_POOL_CTX, check_id)
+
+
+def _results(ctx: SuiteContext, ids: Sequence[str],
+             jobs: int) -> Iterator[CheckResult]:
+    """Each check's result in id order, run by `jobs` forked workers."""
+    if jobs == 1 or len(ids) <= 1:
+        for check_id in ids:
+            yield _run_check(ctx, check_id)
+        return
+    global _POOL_CTX
+    _POOL_CTX = ctx
+    try:
+        with multiprocessing.get_context("fork").Pool(
+                min(jobs, len(ids))) as pool:
+            yield from pool.imap(_pool_run, ids, chunksize=1)
+    finally:
+        _POOL_CTX = None
 
 
 def run_suite(name: str, *, seed: int = DEFAULT_SEED, jobs: int = 1,
               cache: Optional[DiskCache] = None,
               cache_dir: Optional[str] = None,
               timing: bool = False,
-              closure_bound: int = 10 ** 4) -> VerificationReport:
-    """Run the named suite and assemble a report ordered by check id."""
+              closure_bound: int = 10 ** 4,
+              progress: Optional[Callable[[int, int, CheckResult], None]] = None
+              ) -> VerificationReport:
+    """Run the named suite and assemble a report ordered by check id.
+
+    progress(k, n, result) is called as the k-th of n results arrives; its
+    result always carries the measured elapsed_ms, the report's only
+    under timing.
+    """
     if name not in SUITES:
         raise ValueError(
             f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}")
@@ -754,17 +777,11 @@ def run_suite(name: str, *, seed: int = DEFAULT_SEED, jobs: int = 1,
     for check_id in ids:
         for attr in CHECKS[check_id].warm:
             getattr(ctx, attr)
-    if jobs == 1 or len(ids) <= 1:
-        results = [_run_check(ctx, check_id, timing) for check_id in ids]
-    else:
-        global _POOL_CTX, _POOL_TIMING
-        _POOL_CTX, _POOL_TIMING = ctx, timing
-        try:
-            with multiprocessing.get_context("fork").Pool(
-                    min(jobs, len(ids))) as pool:
-                results = pool.map(_pool_run, ids, chunksize=1)
-        finally:
-            _POOL_CTX, _POOL_TIMING = None, False
+    results = []
+    for k, r in enumerate(_results(ctx, ids, jobs), 1):
+        if progress is not None:
+            progress(k, len(ids), r)
+        results.append(r if timing else replace(r, elapsed_ms=0))
     ordered = tuple(sorted(results, key=lambda r: r.id))
     return VerificationReport(suite=name, version=__version__, seed=seed,
                               results=ordered)
@@ -779,7 +796,8 @@ def cross_validate(*, cache: Optional[DiskCache] = None,
         cache = DiskCache(cache_dir or default_cache_dir())
     ctx = SuiteContext(cache, seed)
     table_mm, gram_mm = ctx.axis_table_mismatches
-    results = [_run_check(ctx, "fock.04.table-cross-validation", False)]
+    results = [replace(_run_check(ctx, "fock.04.table-cross-validation"),
+                       elapsed_ms=0)]
     for i, j, got, want in table_mm:
         results.append(CheckResult(
             id=f"crossval.table.{i}{j}", status="fail",

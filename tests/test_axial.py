@@ -281,6 +281,103 @@ class TestGroupClosure:
             group_closure([taus[(0, 0)], taus[(0, 1)], taus[(1, 0)]], bound=5)
 
 
+def reference_closure(mats, bound=10 ** 4):
+    """The former matrix-product engine: close under right products, then
+    orders by repeated products and conjugates with explicit inverses."""
+    ident = Matrix.identity(mats[0].nrows)
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        x = frontier.pop()
+        for m in mats:
+            y = x.matmul(m)
+            if y not in seen:
+                assert len(seen) < bound
+                seen.add(y)
+                frontier.append(y)
+    elements = tuple(sorted(seen, key=lambda m: m.rows))
+    inverses = {g: g.inverse() for g in elements}
+
+    def order(m):
+        p, n = m, 1
+        while p != ident:
+            p, n = p.matmul(m), n + 1
+        return n
+
+    orders = [order(m) for m in elements]
+    invs = [m for m, o in zip(elements, orders) if o == 2]
+    o3 = [m for m, o in zip(elements, orders) if o in (1, 3)]
+    normal = all(g.matmul(s).matmul(gi) in set(o3)
+                 for g, gi in inverses.items() for s in o3)
+    conj = {g.matmul(invs[0]).matmul(gi) for g, gi in inverses.items()} if invs else set()
+    certificate = {
+        "order": len(elements),
+        "o3_size": len(o3),
+        "o3_normal": normal,
+        "involutions": len(invs),
+        "involutions_conjugate": set(invs) <= conj,
+        "quotient_order": len(elements) // len(o3) if o3 else 0,
+    }
+    return elements, orders, certificate
+
+
+def integer_matrix(rows):
+    return Matrix([[Q(x) for x in r] for r in rows])
+
+
+def trusted(rows):
+    """A generator marked verified without an algebra to verify it on."""
+    return LinearEndo(integer_matrix(rows), automorphism=True)
+
+
+def s3_generators():
+    return [trusted([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+            trusted([[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
+
+
+def dihedral12_generators():
+    # rotation of order 6 and a reflection of the hexagonal lattice Z^2;
+    # the orbit of the standard basis is the six A2 roots
+    return [trusted([[1, -1], [1, 0]]), trusted([[0, 1], [1, 0]])]
+
+
+class TestPermutationEngineOracle:
+    @pytest.mark.parametrize("case", ["three-taus", "nine-taus", "dihedral12", "s3"])
+    def test_matches_matrix_product_closure(self, case, taus):
+        gens = {
+            "three-taus": [taus[(0, 0)], taus[(0, 1)], taus[(1, 0)]],
+            "nine-taus": list(taus.values()),
+            "dihedral12": dihedral12_generators(),
+            "s3": s3_generators(),
+        }[case]
+        group = group_closure(gens)
+        elements, orders, certificate = reference_closure([g.matrix for g in gens])
+        assert group.elements == elements
+        assert [group.element_order(m) for m in group.elements] == orders
+        assert group.shape_certificate() == certificate
+
+    def test_dihedral_orbit_is_larger_than_the_dimension(self):
+        group = group_closure(dihedral12_generators())
+        assert group.order == 12
+        orbit_sizes = {len(p) for p in group.perm_of.values()}
+        assert orbit_sizes == {6}
+        assert sorted(group.element_order(m) for m in group.elements) == [
+            1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 6, 6]
+
+    def test_infinite_group_hits_the_bound(self):
+        with pytest.raises(RuntimeError, match="exceeded bound"):
+            group_closure([trusted([[1, 1], [0, 1]])], bound=50)
+
+    def test_element_order_rejects_non_members(self, tau_group):
+        swap = [[Q(0)] * 9 for _ in range(9)]
+        for j, i in enumerate([1, 0] + list(range(2, 9))):
+            swap[i][j] = Q(1)
+        doubling = [[Q(2 if i == j == 0 else int(i == j)) for j in range(9)]
+                    for i in range(9)]
+        for rows in (swap, doubling):
+            with pytest.raises(ValueError, match="not an element"):
+                tau_group.element_order(Matrix(rows))
+
+
 class TestAutomorphismChecks:
     def test_translation_is_an_automorphism(self, g9):
         rows = [[Q(0)] * 9 for _ in range(9)]
@@ -301,6 +398,18 @@ class TestAutomorphismChecks:
         assert not verify_automorphism(g9, m)
         with pytest.raises(ValueError, match="does not preserve"):
             as_automorphism(g9, m)
+
+    def test_form_preserving_map_that_breaks_the_product(self, g9):
+        # the 3-cycle e00 -> e01 -> e11 -> e00 permutes the axes, so it keeps
+        # the Gram matrix, but it sends the line {e00, e11, e22} off a line
+        rows = [[Q(0)] * 9 for _ in range(9)]
+        perm = list(range(9))
+        perm[0], perm[1], perm[4] = 1, 4, 0
+        for j, i in enumerate(perm):
+            rows[i][j] = Q(1)
+        m = Matrix(rows)
+        assert m.transpose().matmul(g9.gram).matmul(m) == g9.gram
+        assert not verify_automorphism(g9, m)
 
 
 class TestIsomorphismCheck:

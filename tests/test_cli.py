@@ -2,6 +2,7 @@
 subcommand behavior, and exit codes."""
 
 import json
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -214,6 +215,22 @@ class TestVerifyCommand:
         assert text_code == 0
         assert all(ln.endswith(" ms)") for ln in text.splitlines()
                    if ln.startswith("[PASS]"))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_progress_flag(self, cache_dir, capsys, jobs):
+        argv = ["verify", "--suite", "cocycle", "--format", "json",
+                "--seed", "7", "--jobs", jobs, "--cache-dir", cache_dir]
+        _, plain, quiet = run_main(argv, capsys)
+        code, out, err = run_main(argv + ["--progress"], capsys)
+        assert code == 0
+        assert out == plain
+        assert quiet == ""
+        ids = scenarios.SUITES["cocycle"]
+        lines = err.splitlines()
+        assert len(lines) == len(ids)
+        for k, (line, check_id) in enumerate(zip(lines, ids), 1):
+            assert re.fullmatch(
+                rf"\[{k}/{len(ids)}\] {re.escape(check_id)} pass \(\d+ ms\)", line)
 
 
 class TestInspectCommand:

@@ -18,6 +18,7 @@ from griess_lab.lattice import (
     find_a,
     glue_vector,
     index_in,
+    int_adjugate,
     lattice_eq,
     lattice_sum,
     map_lattice,
@@ -87,6 +88,41 @@ def draw_vector(data, L, den):
         k = data.draw(st.integers(0, L.ambient_dim - 1))
         v[k] += Fraction(data.draw(st.sampled_from((-1, 1))), den)
     return tuple(v)
+
+
+def assert_adjugate_inverts(rows):
+    adj, d = int_adjugate(rows)
+    inverse = Matrix([[Fraction(x) for x in r] for r in rows]).inverse()
+    assert [[Fraction(x, d) for x in r] for r in adj] == [list(r) for r in inverse.rows]
+    assert all(isinstance(x, int) for r in adj for x in r)
+
+
+class TestIntAdjugate:
+    @ORACLE
+    @given(st.data())
+    def test_matches_fraction_inverse_on_gram_matrices(self, data):
+        n = data.draw(st.integers(1, 6))
+        dim = data.draw(st.integers(n, 7))
+        basis = data.draw(st.lists(
+            st.lists(st.integers(-5, 5), min_size=dim, max_size=dim),
+            min_size=n, max_size=n))
+        gram = [[sum(x * y for x, y in zip(r, s)) for s in basis] for r in basis]
+        det = Matrix([[Fraction(x) for x in r] for r in gram]).det()
+        assume(det != 0)
+        assert_adjugate_inverts(gram)
+        assert int_adjugate(gram)[1] == det  # no row swaps on a Gram matrix
+
+    def test_pivots_past_a_zero_leading_minor(self):
+        assert_adjugate_inverts([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+
+    def test_a26_gram(self):
+        gram = build_standard("A", 26)._int_gram
+        assert_adjugate_inverts(gram)
+        assert int_adjugate(gram)[1] == 27
+
+    def test_singular_is_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            int_adjugate([[1, 2], [2, 4]])
 
 
 class TestConstructions:

@@ -49,6 +49,7 @@ from .lattice import (
     annihilator,
     block_embed,
     build_standard,
+    difference_lattice,
     direct_sum,
     find_a,
     index_in,
@@ -640,17 +641,6 @@ class AxisFamily:
         return self.axes[i % 3][j % 3]
 
 
-def _difference_lattice(e8: Lattice, pos: int, neg: int, label: str) -> Lattice:
-    zero = (Q(0),) * e8.ambient_dim
-    rows = []
-    for v in e8.basis:
-        blocks = [zero, zero, zero]
-        blocks[pos] = v
-        blocks[neg] = tuple(-x for x in v)
-        rows.append(blocks[0] + blocks[1] + blocks[2])
-    return Lattice(label, rows)
-
-
 def build_axis_family(a: Optional[Sequence] = None,
                       cache: Optional[DiskCache] = None) -> AxisFamily:
     e8 = build_standard("E8")
@@ -659,9 +649,9 @@ def build_axis_family(a: Optional[Sequence] = None,
     a = tuple(Fraction(x) for x in a)
     L = direct_sum([e8, e8, e8], "E8^3")
     space = FockSpace(L)
-    M = _difference_lattice(e8, 0, 1, "M")
-    N = _difference_lattice(e8, 1, 2, "N")
-    Ntilde = _difference_lattice(e8, 0, 2, "Ntilde")
+    M = difference_lattice(e8, 0, 1, "M")
+    N = difference_lattice(e8, 1, 2, "N")
+    Ntilde = difference_lattice(e8, 0, 2, "Ntilde")
     E = annihilator(L, lattice_sum(M, N, "M+N"), "E")
     K = sublattice_K(e8, a)
     if index_in(K, e8) != 3:
@@ -679,14 +669,10 @@ def build_axis_family(a: Optional[Sequence] = None,
                       K=K, E=E, a=a, b=b, axes=axes)
 
 
-def _embed_triple(v: Sequence, slot: int) -> Tuple[Fraction, ...]:
-    return block_embed(v, slot, 3)
-
-
 def _root_current(space: FockSpace, alpha: Sequence) -> FockState:
     s = FockState()
     for slot in range(3):
-        s = s + space.exp_state(_embed_triple(alpha, slot))
+        s = s + space.exp_state(block_embed(alpha, slot, 3))
     return s
 
 
@@ -714,7 +700,7 @@ def sugawara_expressions(family: AxisFamily,
     for alpha in shell(family.K, 2, cache).vectors:
         for i, j in ((0, 1), (1, 2), (0, 2)):
             delta = tuple(x - y for x, y in zip(
-                _embed_triple(alpha, i), _embed_triple(alpha, j)))
+                block_embed(alpha, i, 3), block_embed(alpha, j, 3)))
             alt1 = alt1 + space.exp_state(delta, Q(-1, 12))
 
     alt2 = space.virasoro_of_subspace(family.L)

@@ -11,12 +11,15 @@ Shell enumeration (all vectors of a prescribed norm) is exact: a
 quadratic completion of the Gram matrix, scaled to integers, drives a
 bounded depth-first search, and results can be persisted in a text
 cache.  Coordinates, membership and shells are computed in integers over
-common denominators; Fractions appear only in the values returned.
+common denominators; Fractions appear only in the values returned.  A
+shell keeps its vectors as integer tuples lb * v, in memory and on disk.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -33,16 +36,10 @@ def _qvec(v: Sequence) -> QVec:
     return tuple(Fraction(x) for x in v)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a if a % b == 0 else a * b // math.gcd(a, b)
-
-
 def _common_scale(v: Sequence) -> Tuple[List[int], int]:
     """Integers n and the least s >= 1 with v == n / s."""
     vq = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    s = 1
-    for x in vq:
-        s = _lcm(s, x.denominator)
+    s = math.lcm(*(x.denominator for x in vq))
     return [x.numerator * (s // x.denominator) for x in vq], s
 
 
@@ -87,12 +84,6 @@ def int_adjugate(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
     return [r[n:] for r in m], prev
 
 
-def _fraction_rows(rows: List[Tuple[int, ...]], den: int) -> Tuple[QVec, ...]:
-    """rows / den as Fraction tuples, building one Fraction per distinct entry."""
-    memo = {x: Fraction(x, den) for x in {x for r in rows for x in r}}
-    return tuple(tuple(map(memo.__getitem__, r)) for r in rows)
-
-
 class Lattice:
     """An integral lattice given by linearly independent basis rows.
 
@@ -119,11 +110,13 @@ class Lattice:
     @cached_property
     def _int_basis(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
         """(lb, lb * basis) with lb the least common denominator of the basis."""
-        lb = 1
-        for r in self.basis:
-            for x in r:
-                lb = _lcm(lb, x.denominator)
+        lb = math.lcm(*(x.denominator for r in self.basis for x in r))
         return lb, tuple(scaled_ints(r, lb) for r in self.basis)
+
+    @cached_property
+    def _digest(self) -> str:
+        """SHA-256 of the integer basis; ties a cached shell to this basis."""
+        return hashlib.sha256(repr(self._int_basis).encode("ascii")).hexdigest()
 
     @cached_property
     def _int_gram(self) -> Tuple[Tuple[int, ...], ...]:
@@ -292,6 +285,12 @@ def map_lattice(fn: Callable[[QVec], QVec], L: Lattice, label: str) -> Lattice:
     return Lattice(label, [fn(r) for r in L.basis])
 
 
+def difference_lattice(L: Lattice, pos: int, neg: int, label: str) -> Lattice:
+    """{v in block pos minus v in block neg : v in L} inside L + L + L."""
+    return map_lattice(lambda v: tuple(a - b for a, b in zip(
+        block_embed(v, pos, 3), block_embed(v, neg, 3))), L, label)
+
+
 # ---------------------------------------------------------------------------
 # integer row reduction (sums, annihilators, equality)
 
@@ -350,7 +349,7 @@ def lattice_sum(A: Lattice, B: Lattice, label: Optional[str] = None) -> Lattice:
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     (la, ra), (lb, rb) = A._int_basis, B._int_basis
-    den = _lcm(la, lb)
+    den = math.lcm(la, lb)
     rows = [[x * (den // la) for x in r] for r in ra] + [[x * (den // lb) for x in r] for r in rb]
     h = _int_row_echelon(rows)
     basis = [[Fraction(x, den) for x in r] for r in h if any(r)]
@@ -402,14 +401,24 @@ def annihilator(L: Lattice, S: Lattice, label: Optional[str] = None) -> Lattice:
 
 @dataclass(frozen=True)
 class Shell:
-    """All lattice vectors of one squared norm, sorted lexicographically."""
+    """All lattice vectors of one squared norm, sorted lexicographically.
+
+    ints holds scale * v for each vector v, in integers; vectors is the
+    Fraction view, built on first use.
+    """
 
     label: str
     norm: Fraction
-    vectors: Tuple[QVec, ...]
+    ints: Tuple[Tuple[int, ...], ...]
+    scale: int
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.ints)
+
+    @cached_property
+    def vectors(self) -> Tuple[QVec, ...]:
+        memo = {x: Fraction(x, self.scale) for x in {x for r in self.ints for x in r}}
+        return tuple(tuple(map(memo.__getitem__, r)) for r in self.ints)
 
 
 def _quadratic_completion(gram: Matrix) -> Tuple[List[Fraction], List[List[Fraction]]]:
@@ -446,14 +455,11 @@ def _enumerate_coords(gram: Matrix, m: Fraction) -> List[Tuple[int, ...]]:
     """
     n = gram.nrows
     d, u = _quadratic_completion(gram)
-    e = [1] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            e[i] = _lcm(e[i], u[i][j].denominator)
+    e = [math.lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     un = [[int(u[i][j] * e[i]) for j in range(n)] for i in range(n)]
     D = m.denominator
     for i in range(n):
-        D = _lcm(D, d[i].denominator * e[i] ** 2)
+        D = math.lcm(D, d[i].denominator * e[i] ** 2)
     k = [int(d[i] * D / e[i] ** 2) for i in range(n)]
     out: List[Tuple[int, ...]] = []
     x = [0] * n
@@ -489,21 +495,25 @@ def shell(L: Lattice, norm, cache: Optional["DiskCache"] = None) -> Shell:
     if norm <= 0:
         raise ValueError("shell norm must be positive")
     if cache is not None:
-        got = cache.load_shell(L.label, norm)
+        try:
+            got = cache.load_shell(L.label, norm, L._digest)
+        except ValueError:
+            got = None  # a damaged file is recomputed and rewritten
         if got is not None:
             return got
     # lb * v sorts like v because lb > 0
     half = [tuple(L._combine(c)) for c in _enumerate_coords(L.gram, norm)]
     ints = sorted(half + [tuple(-x for x in v) for v in half])
-    sh = Shell(L.label, norm, _fraction_rows(ints, L._int_basis[0]))
+    sh = Shell(L.label, norm, tuple(ints), L._int_basis[0])
     if cache is not None:
-        cache.store_shell(sh)
+        cache.store_shell(sh, L._digest)
     return sh
 
 
 def shell_brute_force(L: Lattice, norm) -> Shell:
     """Independent box-search oracle; exponential in the rank, tests only."""
     norm = Fraction(norm)
+    lb = L._int_basis[0]
     ginv = L.gram.inverse()
     bounds = []
     for i in range(L.rank):
@@ -512,8 +522,8 @@ def shell_brute_force(L: Lattice, norm) -> Shell:
     vectors = []
     def rec(i: int, coords: List[int]) -> None:
         if i == L.rank:
-            v = L.vector_from_coords(coords)
-            if dot(v, v) == norm and any(coords):
+            v = tuple(L._combine(coords))
+            if dot(v, v) == norm * lb * lb and any(coords):
                 vectors.append(v)
             return
         for c in range(-bounds[i], bounds[i] + 1):
@@ -521,7 +531,7 @@ def shell_brute_force(L: Lattice, norm) -> Shell:
             rec(i + 1, coords)
             coords.pop()
     rec(0, [])
-    return Shell(L.label, norm, tuple(sorted(vectors)))
+    return Shell(L.label, norm, tuple(sorted(vectors)), lb)
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +540,12 @@ def shell_brute_force(L: Lattice, norm) -> Shell:
 
 def root_system_type(L: Lattice, cache: Optional["DiskCache"] = None) -> str:
     """ADE type of the norm-2 vectors, e.g. 'A8', 'E8', 'A2+A2', 'no roots'."""
-    roots = shell(L, 2, cache).vectors
+    roots = shell(L, 2, cache)
     if not roots:
         return "no roots"
-    root_rank = Matrix(roots).rank()
-    if root_rank < L.rank:
+    if sum(1 for r in _int_row_echelon(roots.ints) if any(r)) < L.rank:
         return "not simply-laced root lattice"
-    pos = [r for r in roots if _lex_positive(r)]
+    pos = [r for r in roots.ints if _lex_positive(r)]
     pos_set = set(pos)
     simple = []
     for r in pos:
@@ -546,8 +555,9 @@ def root_system_type(L: Lattice, cache: Optional["DiskCache"] = None) -> str:
     adj: Dict[int, List[int]] = {i: [] for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
+            # the roots are held as scale * r, so a pairing of -1 reads -scale**2
             c = dot(simple[i], simple[j])
-            if c == -1:
+            if c == -roots.scale ** 2:
                 adj[i].append(j)
                 adj[j].append(i)
             elif c != 0:
@@ -571,7 +581,7 @@ def root_system_type(L: Lattice, cache: Optional["DiskCache"] = None) -> str:
     return "+".join(sorted(labels))
 
 
-def _lex_positive(v: QVec) -> bool:
+def _lex_positive(v: Sequence[int]) -> bool:
     for x in v:
         if x:
             return x > 0
@@ -649,16 +659,16 @@ def find_a(e8: Lattice, cache: Optional["DiskCache"] = None) -> QVec:
     """
     import numpy as np
 
-    lb = e8._int_basis[0]
-    roots = shell(e8, 2, cache).vectors
-    r2 = np.array([scaled_ints(r, lb) for r in roots], dtype=np.int64).T
+    roots = shell(e8, 2, cache)
+    r2 = np.array(roots.ints, dtype=np.int64).T
     for norm in (2, 4, 6, 8):
-        vectors = shell(e8, norm, cache).vectors
-        cand = np.array([scaled_ints(v, lb) for v in vectors], dtype=np.int64)
-        # scaled dot = lb**2 * true dot; entries are tiny, exact in int64
-        hits = (np.mod(cand @ r2, 3 * lb * lb) == 0).sum(axis=1)
+        sh = shell(e8, norm, cache)
+        cand = np.array(sh.ints, dtype=np.int64)
+        # ints are scale * v, so cand @ r2 is both scales times the true
+        # dot; entries are tiny, exact in int64
+        hits = (np.mod(cand @ r2, 3 * sh.scale * roots.scale) == 0).sum(axis=1)
         for idx in np.nonzero(hits == 72)[0]:
-            a = vectors[int(idx)]
+            a = tuple(Fraction(x, sh.scale) for x in sh.ints[int(idx)])
             K = sublattice_K(e8, a)
             if index_in(K, e8) == 3 and root_system_type(K, cache) == "A8":
                 return a
@@ -800,7 +810,7 @@ def coset_decomposition_A26(cache: Optional["DiskCache"] = None) -> CosetSystem:
 # ---------------------------------------------------------------------------
 # disk cache
 
-_SHELL_HEADER = "griess-lab-shell v1"
+_SHELL_HEADER = "griess-lab-shell v2"
 _COSET_HEADER = "griess-lab-cosets v1"
 
 
@@ -808,28 +818,26 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.^+-]", "_", label)
 
 
-def _format_vec(v: QVec) -> str:
-    return " ".join(str(x) for x in v)
-
-
-def _parse_vec(line: str, memo: Dict[str, Fraction]) -> QVec:
-    """One vector per line; memo holds one Fraction per distinct token."""
-    out = []
-    for tok in line.split():
-        x = memo.get(tok)
-        if x is None:
-            if "/" in tok:
-                num, den = tok.split("/", 1)
-                x = Fraction(int(num), int(den))
-            else:
-                x = Fraction(int(tok))
-            memo[tok] = x
-        out.append(x)
-    return tuple(out)
+def _write_rows(path: str, header: str, rows: Iterable[Sequence]) -> None:
+    """Write the header and one line per row to a temporary file, then move
+    it into place, so no reader ever sees a half-written file."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(header + "\n")
+            fh.writelines(" ".join(map(str, r)) + "\n" for r in rows)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class DiskCache:
-    """Text-file persistence for shells and coset representatives."""
+    """Text-file persistence for shells and coset representatives.
+
+    A shell file holds the integer tuples of its Shell under the header
+    "griess-lab-shell v2 <label> <norm> <count> <scale> <basis digest>".
+    """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
@@ -837,31 +845,45 @@ class DiskCache:
 
     def _shell_path(self, label: str, norm: Fraction) -> str:
         return os.path.join(
-            self.directory, f"{_safe_name(label)}__{norm.numerator}_{norm.denominator}.shell")
+            self.directory, f"{_safe_name(label)}__{norm.numerator}_{norm.denominator}.v2.shell")
 
-    def load_shell(self, label: str, norm: Fraction) -> Optional[Shell]:
+    def load_shell(self, label: str, norm: Fraction,
+                   digest: Optional[str] = None) -> Optional[Shell]:
+        """The cached shell; None when there is no file or, given a basis
+        digest, when the file was written for another basis.
+
+        Raises ValueError on a damaged file: a bad header or line count, or
+        vectors off the norm, out of order or not closed under negation.
+        """
         path = self._shell_path(label, norm)
         if not os.path.exists(path):
             return None
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().split()
-            if header[:2] != _SHELL_HEADER.split() or len(header) != 5:
+            if header[:2] != _SHELL_HEADER.split() or len(header) != 7:
                 raise ValueError(f"bad shell cache header in {path}")
-            got_label, got_norm, count = header[2], header[3], int(header[4])
+            got_label, got_norm, count, scale, got_digest = header[2:]
+            count, scale = int(count), int(scale)
             if got_label != label or Fraction(got_norm) != norm:
                 raise ValueError(f"shell cache {path} is for {got_label}:{got_norm}")
-            memo: Dict[str, Fraction] = {}
-            vectors = tuple(_parse_vec(line, memo) for line in fh if line.strip())
-        if len(vectors) != count:
+            if digest is not None and got_digest != digest:
+                return None
+            ints = tuple(tuple(map(int, line.split())) for line in fh)
+        if len(ints) != count:
             raise ValueError(f"shell cache {path} truncated")
-        return Shell(label, norm, vectors)
+        if scale < 1:
+            raise ValueError(f"shell cache {path} has scale {scale}")
+        norms = {sum(map(operator.mul, v, v)) for v in ints}
+        # negation reverses lexicographic order, so ints[k] == -ints[n-1-k]
+        if (norms - {norm * scale * scale} or any(a >= b for a, b in zip(ints, ints[1:]))
+                or any(v != tuple(map(operator.neg, w)) for v, w in zip(ints, reversed(ints)))):
+            raise ValueError(f"shell cache {path} is damaged")
+        return Shell(label, norm, ints, scale)
 
-    def store_shell(self, sh: Shell) -> None:
-        path = self._shell_path(sh.label, sh.norm)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"{_SHELL_HEADER} {sh.label} {sh.norm} {len(sh.vectors)}\n")
-            for v in sh.vectors:
-                fh.write(_format_vec(v) + "\n")
+    def store_shell(self, sh: Shell, digest: str) -> None:
+        _write_rows(self._shell_path(sh.label, sh.norm),
+                    f"{_SHELL_HEADER} {sh.label} {sh.norm} {len(sh)} {sh.scale} {digest}",
+                    sh.ints)
 
     def _coset_path(self, sup_label: str, sub_label: str) -> str:
         return os.path.join(
@@ -876,18 +898,14 @@ class DiskCache:
             if header[:2] != _COSET_HEADER.split() or len(header) != 5:
                 raise ValueError(f"bad coset cache header in {path}")
             count = int(header[4])
-            memo: Dict[str, Fraction] = {}
-            reps = tuple(_parse_vec(line, memo) for line in fh if line.strip())
+            reps = tuple(tuple(map(Fraction, line.split())) for line in fh if line.strip())
         if len(reps) != count:
             raise ValueError(f"coset cache {path} truncated")
         return reps
 
     def store_cosets(self, sup_label: str, sub_label: str, reps: Tuple[QVec, ...]) -> None:
-        path = self._coset_path(sup_label, sub_label)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"{_COSET_HEADER} {sup_label} {sub_label} {len(reps)}\n")
-            for v in reps:
-                fh.write(_format_vec(v) + "\n")
+        _write_rows(self._coset_path(sup_label, sub_label),
+                    f"{_COSET_HEADER} {sup_label} {sub_label} {len(reps)}", reps)
 
     def status(self) -> List[str]:
         lines = []

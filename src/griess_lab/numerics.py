@@ -54,12 +54,6 @@ class Eisenstein:
         """Coefficient of zeta."""
         return self._zc
 
-    @classmethod
-    def from_scalar(cls, x: Scalar) -> "Eisenstein":
-        if isinstance(x, Eisenstein):
-            return x
-        return cls(_as_fraction(x))
-
     def is_rational(self) -> bool:
         return self._zc == 0
 

@@ -51,10 +51,10 @@ from .fock import (
 from .lattice import (
     DiskCache,
     Lattice,
-    block_embed,
     build_standard,
     coset_decomposition_A26,
     default_cache_dir,
+    difference_lattice,
     direct_sum,
     find_a,
     index_in,
@@ -476,17 +476,9 @@ def _congruence_sample(ctx):
         "the sign table vanishes identically on each of the three "
         "difference sublattices", PROV_CROSS, warm=("cocycle_table",))
 def _difference_triviality(ctx):
-    table = ctx.cocycle_table
-    e8 = ctx.e8
-
-    def difference(pos: int, neg: int, label: str) -> Lattice:
-        rows = [tuple(x - y for x, y in zip(block_embed(b, pos, 3),
-                                            block_embed(b, neg, 3)))
-                for b in e8.basis]
-        return Lattice(label, rows)
-
-    parts = (difference(0, 1, "M"), difference(1, 2, "N"),
-             difference(0, 2, "Ntilde"))
+    table, e8 = ctx.cocycle_table, ctx.e8
+    parts = (difference_lattice(e8, 0, 1, "M"), difference_lattice(e8, 1, 2, "N"),
+             difference_lattice(e8, 0, 2, "Ntilde"))
     return tuple(verify_triviality(table, S) for S in parts), (True,) * 3
 
 

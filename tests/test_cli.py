@@ -1,6 +1,7 @@
 """Tests for the command-line front end: parsing, config resolution,
 subcommand behavior, and exit codes."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction as Q
@@ -123,6 +124,31 @@ class TestVerifyCommand:
         _, first, _ = run_main(argv, capsys)
         _, second, _ = run_main(argv, capsys)
         assert first == second
+
+    # SHA-256 of `verify --format json --seed 7` stdout, recorded before the
+    # shell cache stored integer vectors; any refactor must keep these bytes.
+    GOLDEN = {
+        "lattice-combinatorics":
+            "2c4a1978abfa632e38ffaeb5021771f4508f882f788025930810028950308f2a",
+        "cocycle":
+            "847e99feac0a44da83946f338b39ad41b200e10a2b7d9e04c30501521811811f",
+        "griess-abstract":
+            "ee93cf3a19b3c6c3ee3a238d0a86b0414bdaf3b16de62e709ba7a588c054385f",
+        "central-charges":
+            "0cd76b7ba50c3d443f872d05855ac7ff540b034ec1442cad9323df2ecc6209cc",
+    }
+
+    def test_golden_report_digests(self, tmp_path, capsys):
+        fresh = str(tmp_path / "cachedir")
+        for _cache_state in ("cold", "warm"):
+            digests = {}
+            for suite in self.GOLDEN:
+                code, out, _ = run_main(
+                    ["verify", "--suite", suite, "--format", "json", "--seed", "7",
+                     "--cache-dir", fresh], capsys)
+                assert code == 0
+                digests[suite] = hashlib.sha256(out.encode()).hexdigest()
+            assert digests == self.GOLDEN, _cache_state
 
     def test_config_file_drives_verify(self, cache_dir, tmp_path, capsys):
         path = tmp_path / "cfg"

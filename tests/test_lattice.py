@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -470,7 +471,7 @@ class TestDiskCache:
         loaded = cache.load_shell("E8", Fraction(2))
         assert loaded is not None and loaded.vectors == s.vectors
         lines = cache.status()
-        assert lines == ["griess-lab-shell v1 E8 2 240"]
+        assert lines == [f"griess-lab-shell v2 E8 2 240 2 {e8._digest}"]
         assert cache.clear() == 1
         assert cache.load_shell("E8", Fraction(2)) is None
 
@@ -493,6 +494,54 @@ class TestDiskCache:
             fh.write("\n".join(body[:100]))
         with pytest.raises(ValueError):
             cache.load_shell("E8", Fraction(2))
+
+    def test_same_label_other_lattice_misses(self, tmp_path, e8, a_vector):
+        # sublattice_K labels every kernel "K"; the basis digest tells them apart
+        cache = DiskCache(str(tmp_path))
+        K = sublattice_K(e8, a_vector)
+        assert len(shell(K, 2, cache)) == 72
+        other = sublattice_K(e8, shell(e8, 2).vectors[0])
+        got = shell(other, 2, cache)
+        assert len(got) == 126 and got == shell(other, 2)
+        assert shell(K, 2, cache) == shell(K, 2)
+
+    @pytest.mark.parametrize("damage", ["norm", "order", "dropped"])
+    def test_damaged_file_is_recomputed(self, tmp_path, e8, damage):
+        cache = DiskCache(str(tmp_path))
+        good = shell(e8, 2, cache)
+        path = cache._shell_path("E8", Fraction(2))
+        header, *body = open(path).read().splitlines()
+        if damage == "norm":
+            first = body[0].split()
+            first[0] = str(2 * int(first[0]))
+            body[0] = " ".join(first)
+        elif damage == "order":
+            body[3], body[4] = body[4], body[3]
+        else:
+            del body[7]
+            header = header.replace(" 240 ", " 239 ")
+        with open(path, "w") as fh:
+            fh.write("\n".join([header] + body) + "\n")
+        with pytest.raises(ValueError, match="damaged"):
+            cache.load_shell("E8", Fraction(2))
+        assert shell(e8, 2, cache) == good
+        assert cache.load_shell("E8", Fraction(2), e8._digest) == good
+
+    def test_v1_file_is_left_alone(self, tmp_path, e8):
+        old = tmp_path / "E8__2_1.shell"
+        old.write_text("griess-lab-shell v1 E8 2 1\n1 1 0 0 0 0 0 0\n")
+        cache = DiskCache(str(tmp_path))
+        assert len(shell(e8, 2, cache)) == 240
+        assert old.read_text() == "griess-lab-shell v1 E8 2 1\n1 1 0 0 0 0 0 0\n"
+        assert cache.load_shell("E8", Fraction(2), e8._digest) is not None
+
+    def test_store_leaves_no_temp_file(self, tmp_path, e8):
+        cache = DiskCache(str(tmp_path))
+        shell(e8, 2, cache)
+        reps = ((Q(1, 2), Q(-1, 3)), (Q(0), Q(2)))
+        cache.store_cosets("Z2", "sub", reps)
+        assert cache.load_cosets("Z2", "sub") == reps
+        assert not [n for n in os.listdir(tmp_path) if ".tmp-" in n]
 
 
 class TestIndexAndSum:

@@ -10,7 +10,6 @@ only under `verify --timing`, and randomized samples derive from the seed.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from dataclasses import dataclass

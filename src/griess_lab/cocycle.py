@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from .lattice import Lattice
-from .numerics import dot
 
 
 class CocycleTable:

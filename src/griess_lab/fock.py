@@ -83,10 +83,52 @@ def _as_eis(c) -> Eisenstein:
     return c if isinstance(c, Eisenstein) else Eisenstein(Fraction(c))
 
 
-@functools.lru_cache(maxsize=None)
-def _subsets(size: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(itertools.chain.from_iterable(
-        itertools.combinations(range(size), r) for r in range(size + 1)))
+@functools.lru_cache(maxsize=256)
+def _contraction_table(oscs: Tuple[Osc, ...]) -> tuple:
+    """Every contraction subset of every oscillator part in oscs, as
+    read-only arrays: each part's oscillator weight and first row (plus an
+    end row), and per row the total mode of the subset, its directions
+    padded with -1, their number, and the index into rests of the
+    oscillators it leaves."""
+    rests: Dict[Osc, int] = {}
+    start, mode, dirs, rest = [0], [], [], []
+    for osc in oscs:
+        for size in range(len(osc) + 1):
+            for subset in itertools.combinations(range(len(osc)), size):
+                mode.append(sum(osc[t][0] for t in subset))
+                dirs.append([osc[t][1] for t in subset])
+                left = tuple(o for t, o in enumerate(osc) if t not in subset)
+                rest.append(rests.setdefault(left, len(rests)))
+        start.append(len(mode))
+    dirs_arr = np.full((len(dirs), max(map(len, dirs))), -1, dtype=np.int64)
+    for t, ds in enumerate(dirs):
+        dirs_arr[t, :len(ds)] = ds
+    arrays = (np.array([sum(m for m, _ in osc) for osc in oscs], dtype=np.int64),
+              np.array(start), np.array(mode, dtype=np.int64), dirs_arr,
+              np.array([len(ds) for ds in dirs]), np.array(rest))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays + (tuple(rests),)
+
+
+def _group(keys: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Group rows by equal entries in every key column: the first row of
+    each group and each row's group index."""
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    new[0] = True
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
+    inv = np.empty(order.size, dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    return order[new], inv
+
+
+def _int_dtype(bound: int):
+    """int64 for integers known to stay below bound in size, else exact
+    Python integers (dtype=object)."""
+    return np.int64 if bound < 1 << 63 else object
 
 
 class FockState:
@@ -199,7 +241,16 @@ class FockSpace:
         self.cocycle = cocycle if cocycle is not None else build_epsilon0(lattice)
         if self.cocycle.lattice is not lattice:
             raise ValueError("cocycle table belongs to a different lattice")
-        self._masks: Dict[Gamma, Tuple[int, int]] = {}
+        # exponent memo: _masks maps an exponent to its row k; row k of
+        # _exp_coords holds its doubled coordinates, and row k of _exp_masks
+        # its 0/1 column mask (lattice coordinates mod 2) followed by its 0/1
+        # row mask (those times the cocycle table mod 2), so that
+        # eps(beta, gamma) is the parity of row(beta) . column(gamma)
+        self._masks: Dict[Gamma, int] = {}
+        self._exp_coords = np.zeros((0, self.dim), dtype=np.int64)
+        self._exp_masks = np.zeros((0, 2 * lattice.rank), dtype=np.int8)
+        self._bits = np.array(self.cocycle.bits, dtype=np.int64).reshape(lattice.rank,
+                                                                          lattice.rank)
         self._zero = (0,) * self.dim
 
     # -- state constructors ------------------------------------------------
@@ -209,7 +260,7 @@ class FockSpace:
 
     def exp_state(self, gamma: Sequence, coeff=1) -> FockState:
         g2 = scaled_ints(gamma, 2)
-        self._mask_pair(g2)  # membership check
+        self._exp_rows([g2])  # membership check
         if _wt8(((), g2)) > 16:
             raise WeightOverflowError("exponent norm exceeds the weight cap")
         return FockState({((), g2): _as_eis(coeff)})
@@ -227,39 +278,40 @@ class FockSpace:
 
     # -- cocycle plumbing --------------------------------------------------
 
-    def _mask_pair(self, g2: Gamma) -> Tuple[int, int]:
-        got = self._masks.get(g2)
-        if got is not None:
-            return got
-        if g2 == self._zero:
-            pair = (0, 0)
-            self._masks[g2] = pair
-            return pair
-        coords = self.lattice.coords(tuple(Q(x, 2) for x in g2))
-        if coords is None or any(c.denominator != 1 for c in coords):
-            raise ValueError("exponent is not a lattice vector")
-        ints = [int(c) for c in coords]
-        col = 0
-        for i, c in enumerate(ints):
-            if c % 2:
-                col |= 1 << i
-        bits = self.cocycle.bits
-        row = 0
-        for j in range(len(ints)):
-            parity = 0
-            for i, c in enumerate(ints):
-                if c % 2 and bits[i][j]:
-                    parity ^= 1
-            if parity:
-                row |= 1 << j
-        pair = (col, row)
-        self._masks[g2] = pair
-        return pair
+    def _exp_rows(self, exps: Sequence[Gamma]) -> np.ndarray:
+        """The memo rows of the exponents exps, adding the new ones;
+        ValueError for an exponent outside the lattice."""
+        memo = self._masks
+        rows = np.fromiter(map(memo.get, exps, itertools.repeat(-1)), dtype=np.int64,
+                           count=len(exps))
+        if rows.min(initial=0) < 0:
+            new = list(dict.fromkeys(exps[k] for k in np.flatnonzero(rows < 0).tolist()))
+            rank = self.lattice.rank
+            cols = []
+            for g2 in new:
+                coords = self.lattice.coords(tuple(Q(x, 2) for x in g2))
+                if coords is None or any(c.denominator != 1 for c in coords):
+                    raise ValueError("exponent is not a lattice vector")
+                cols.append([int(c) % 2 for c in coords])
+            col = np.array(cols, dtype=np.int64).reshape(len(new), rank)
+            size, end = len(memo), len(memo) + len(new)
+            if end > len(self._exp_coords):
+                grown = max(64, 2 * end)
+                table = np.zeros((grown, self.dim), dtype=np.int64)
+                masks = np.zeros((grown, 2 * rank), dtype=np.int8)
+                table[:size], masks[:size] = self._exp_coords[:size], self._exp_masks[:size]
+                self._exp_coords, self._exp_masks = table, masks
+            self._exp_coords[size:end] = new
+            self._exp_masks[size:end] = np.hstack([col, col @ self._bits % 2])
+            memo.update(zip(new, range(size, end)))
+            rows = np.fromiter(map(memo.__getitem__, exps), dtype=np.int64, count=len(exps))
+        return rows
 
-    def _eps_sign(self, beta2: Gamma, gamma2: Gamma) -> int:
-        row = self._mask_pair(beta2)[1]
-        col = self._mask_pair(gamma2)[0]
-        return -1 if bin(row & col).count("1") % 2 else 1
+    def _signs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """(-1)^eps(beta, gamma) for the exponent pairs in memo rows i and j."""
+        rank = self.lattice.rank
+        m = self._exp_masks
+        return 1 - 2 * (np.einsum("ij,ij->i", m[i, rank:], m[j, :rank], dtype=np.int64) & 1)
 
     # -- the integer mode kernel ------------------------------------------------
     #
@@ -304,75 +356,145 @@ class FockSpace:
         A pair (e^beta, monomial of b) can land a term only when
         d_max = -n - 1 - <beta, gamma> + W >= 0, W being the monomial's
         oscillator weight.  All pairings come from one exact int64 product
-        of the doubled exponents (4 <beta, gamma>), and only the pairs that
-        pass the test are expanded.  A landing term carries -beta_k for
-        each contracted oscillator and a creation layer of weight d, so it
-        halves at most (oscillators of b) + 3 times.
+        of the doubled exponents (4 <beta, gamma>), and the pairs that pass
+        the test are expanded together: each meets every contraction subset
+        of its monomial, and a landing carries -beta_k for each contracted
+        oscillator and a creation layer of weight d.  Landings that share
+        (remaining oscillators, beta + gamma, d) are summed first, so each
+        such group emits one creation layer.  A landing halves at most
+        (oscillators of b) + 3 times.
         """
         if not a_exp or not b:
             return
-        A = np.array([g2 for (_, g2), _, _ in a_exp], dtype=np.int64)
-        B = np.array([g2 for (_, g2), _, _ in b], dtype=np.int64)
+        ia = self._exp_rows([g2 for (_, g2), _, _ in a_exp])
+        oscs, gammas = zip(*(mono for mono, _, _ in b))
+        ib = self._exp_rows(gammas)
+        A, B = self._exp_coords[ia], self._exp_coords[ib]
         S = A @ B.T
         if (S % 4).any():
             raise ValueError("non-integral pairing between exponents")
-        W = np.array([sum(m for m, _ in osc) for (osc, _), _, _ in b], dtype=np.int64)
+        index = {osc: i for i, osc in enumerate(dict.fromkeys(oscs))}
+        part = np.fromiter(map(index.__getitem__, oscs), dtype=np.int64, count=len(oscs))
+        weight, start, mode, dirs, halvings, rest, rests = _contraction_table(tuple(index))
+        W = weight[part]
         rows, cols = np.nonzero(4 * (W - n - 1) - S >= 0)
-        # 8 * (wt(monomial) + wt(e^beta) - n - 1), the weight every landing term has
-        out_wt8 = (np.einsum("ij,ij->i", A, A)[rows]
-                   + (8 * W + np.einsum("ij,ij->i", B, B))[cols] - 8 * (n + 1))
-        for i, j, bg, wt8, joined in zip(rows.tolist(), cols.tolist(),
-                                         (S[rows, cols] // 4).tolist(),
-                                         out_wt8.tolist(),
-                                         (A[rows] + B[cols]).tolist()):
-            (_, beta2), ar, az = a_exp[i]
-            (osc, g2), br, bz = b[j]
-            sign = self._eps_sign(beta2, g2)
-            r = sign * (ar * br - az * bz)
-            z = sign * (ar * bz + az * br - az * bz)
-            new_g2 = tuple(joined)
-            for subset in _subsets(len(osc)):
-                d = -n - 1 - bg
-                for t in subset:
-                    d += osc[t][0]
-                if d < 0:
-                    continue
-                f = 1
-                for t in subset:
-                    f *= -beta2[osc[t][1]]
-                if not f:
-                    continue
-                # a term really lands here, so the cap is enforced only now
-                if wt8 > 16 or d > 2:
-                    raise WeightOverflowError(
-                        f"exp mode {n} would create weight {Q(wt8, 8)}")
-                rest = tuple(o for t, o in enumerate(osc) if t not in subset)
-                self._emit_creation_layer(out, rest, new_g2, d, beta2,
-                                          r * f, z * f, shift - len(subset))
-
-    def _emit_creation_layer(self, out: _Accumulator, osc: Osc, g2: Gamma,
-                             d: int, beta2: Gamma, r: int, z: int,
-                             shift: int) -> None:
-        """The weight-d part of exp(sum_j beta(-j) z^j / j) on osc e^g2:
-        1, beta(-1), or beta(-1)^2/2 + beta(-2)/2."""
-        if d == 0:
-            out.add((osc, g2), r << shift, z << shift)
+        if not rows.size:
             return
-        support = [(k, x) for k, x in enumerate(beta2) if x]
-        if d == 1:
-            # beta_k = beta2[k] / 2
-            shift -= 1
-            layer = [(((1, k),), x) for k, x in support]
+
+        # one landing candidate per (pair, contraction subset), in pair order
+        first = start[part[cols]]
+        cnt = start[part[cols] + 1] - first
+        pair = np.repeat(np.arange(rows.size), cnt)
+        sub = np.arange(pair.size) + np.repeat(first - np.cumsum(cnt) + cnt, cnt)
+        d = (-n - 1 - S[rows, cols] // 4)[pair] + mode[sub]
+        # -beta and a last column of ones, the factor of the padding index -1
+        neg_beta = np.hstack([-A, np.ones((len(a_exp), 1), dtype=np.int64)])
+        f = neg_beta[rows[pair, None], dirs[sub]].prod(axis=1)
+        keep = np.flatnonzero((d >= 0) & (f != 0))
+        if not keep.size:
+            return
+        pair, sub, d, f = pair[keep], sub[keep], d[keep], f[keep]
+        ri, ci = rows[pair], cols[pair]
+        # a term really lands for each kept candidate, so the cap is enforced
+        # only now; 8 * (wt(monomial) + wt(e^beta) - n - 1) is its weight
+        out_wt8 = (np.einsum("ij,ij->i", A, A)[ri]
+                   + (8 * W + np.einsum("ij,ij->i", B, B))[ci] - 8 * (n + 1))
+        over = (out_wt8 > 16) | (d > 2)
+        if over.any():
+            raise WeightOverflowError(
+                f"exp mode {n} would create weight {Q(int(out_wt8[over.argmax()]), 8)}")
+        # one halving per contracted oscillator, then 0, 1 or 3 for the layer
+        room = shift - halvings[sub] - np.array([0, 1, 3])[d]
+        if (room < 0).any():
+            raise ValueError("negative shift count")
+
+        sign = self._signs(ia[rows], ib[cols])
+        # only the monomials of b that some pair reaches are read from here on
+        used, cu = np.unique(cols, return_inverse=True)
+        b = [b[j] for j in used.tolist()]
+
+        # int64 unless a bound on every product and sum below could overflow it
+        ca = max(abs(r) + abs(z) for _, r, z in a_exp)
+        cb = max(abs(r) + abs(z) for _, r, z in b)
+        bmax = max(int(np.abs(A).max()), 1)
+        dtype = _int_dtype(ca * cb * bmax ** (dirs.shape[1] + 2) * (2 << shift) * pair.size)
+        ar, az = (np.array([t[k] for t in a_exp], dtype=dtype)[rows] for k in (1, 2))
+        br, bz = (np.array([t[k] for t in b], dtype=dtype)[cu] for k in (1, 2))
+        scale = np.left_shift(f.astype(dtype), room.astype(dtype))
+        w_re = (sign * (ar * br - az * bz))[pair] * scale
+        w_zc = (sign * (ar * bz + az * br - az * bz))[pair] * scale
+
+        # group by (remaining oscillators, beta + gamma, d); a landed exponent
+        # has norm <= 4, so its doubled coordinates lie in [-4, 4] and pack
+        # exactly into 4-bit digits, 15 to an int64
+        joined = A[ri] + B[ci]
+        digits = np.left_shift(1, 4 * np.arange(15, dtype=np.int64))
+        keys = [(joined[:, c:c + 15] + 4) @ digits[:min(15, self.dim - c)]
+                for c in range(0, self.dim, 15)]
+        first, inv = _group(keys + [rest[sub] * 3 + d])
+        s_re = np.zeros(first.size, dtype=dtype)
+        s_zc = np.zeros(first.size, dtype=dtype)
+        np.add.at(s_re, inv, w_re)
+        np.add.at(s_zc, inv, w_zc)
+        v_re = np.zeros((first.size, self.dim), dtype=dtype)
+        v_zc = np.zeros((first.size, self.dim), dtype=dtype)
+        # the landings with a layer (d > 0), and those of each d = 2 group
+        layered = np.flatnonzero(d > 0)
+        beta = A[ri[layered]].astype(dtype)
+        l_re, l_zc, l_inv = w_re[layered], w_zc[layered], inv[layered]
+        np.add.at(v_re, l_inv, l_re[:, None] * beta)
+        np.add.at(v_zc, l_inv, l_zc[:, None] * beta)
+        quad = np.flatnonzero(d[layered] == 2)
+        quad = quad[np.argsort(l_inv[quad], kind="stable")]
+        members = {int(l_inv[m[0]]): m
+                   for m in np.split(quad, np.flatnonzero(np.diff(l_inv[quad])) + 1) if m.size}
+
+        # emit every group whose sums did not cancel
+        lead = d[first]
+        live = np.flatnonzero(np.where(
+            lead == 0, (s_re != 0) | (s_zc != 0),
+            (lead == 2) | (v_re != 0).any(axis=1) | (v_zc != 0).any(axis=1)))
+        for g, osc_id, dg, g2 in zip(live.tolist(), rest[sub[first[live]]].tolist(),
+                                     lead[live].tolist(), joined[first[live]].tolist()):
+            if dg == 0:
+                sums = (s_re[g], s_zc[g])
+            elif dg == 1:
+                sums = (v_re[g], v_zc[g])
+            else:
+                m = members[g]
+                bm = beta[m]
+                sums = (v_re[g], v_zc[g],
+                        (bm * l_re[m, None]).T @ bm, (bm * l_zc[m, None]).T @ bm)
+            self._emit_creation_layer(out, rests[osc_id], tuple(g2), dg, sums)
+
+    @staticmethod
+    def _emit_creation_layer(out: _Accumulator, osc: Osc, g2: Gamma, d: int,
+                             sums: tuple) -> None:
+        """The weight-d part of exp(sum_j beta(-j) z^j / j) on osc e^g2,
+        summed over a group of landings with weights w (halvings included):
+        1, beta(-1), or beta(-1)^2/2 + beta(-2)/2.
+
+        sums holds the (re, zc) parts of sum w for d = 0, of sum w beta2
+        for d = 1, and of sum w beta2 and sum w beta2 beta2^T for d = 2.
+        """
+        if d == 0:
+            layer = [((), sums[0], sums[1])]
         else:
-            # over 8: beta_k beta_l = 2 beta2[k] beta2[l], beta_k^2 / 2 =
-            # beta2[k]^2 and beta_k / 2 = 2 beta2[k]
-            shift -= 3
-            layer = [(((1, k), (1, l)), x * y if k == l else 2 * x * y)
-                     for i, (k, x) in enumerate(support) for l, y in support[i:]]
-            layer += [(((2, k),), 2 * x) for k, x in support]
-        for added, w in layer:
-            f = w << shift
-            out.add((tuple(sorted(osc + added)) if osc else added, g2), r * f, z * f)
+            v_re, v_zc = sums[0], sums[1]
+            ks = np.flatnonzero((v_re != 0) | (v_zc != 0)).tolist()
+            if d == 1:
+                layer = [(((1, k),), v_re[k], v_zc[k]) for k in ks]
+            else:
+                # over 8: beta_k beta_l = 2 beta2[k] beta2[l], beta_k^2 / 2 =
+                # beta2[k]^2 and beta_k / 2 = 2 beta2[k]
+                m_re, m_zc = sums[2], sums[3]
+                kk, ll = np.nonzero(np.triu((m_re != 0) | (m_zc != 0)))
+                layer = [(((1, k), (1, l)), m_re[k, l] * (1 if k == l else 2),
+                          m_zc[k, l] * (1 if k == l else 2))
+                         for k, l in zip(kk.tolist(), ll.tolist())]
+                layer += [(((2, k),), 2 * v_re[k], 2 * v_zc[k]) for k in ks]
+        for added, r, z in layer:
+            out.add((tuple(sorted(osc + added)) if osc else added, g2), int(r), int(z))
 
     def _quad_mode(self, out: _Accumulator, k: int, l: int, n: int,
                    b: List[Num], cr: int, cz: int, shift: int) -> None:
@@ -421,7 +543,7 @@ class FockSpace:
 
     def exp_mode(self, beta: Sequence, n: int, s: FockState) -> FockState:
         beta2 = scaled_ints(beta, 2)
-        self._mask_pair(beta2)
+        self._exp_rows([beta2])
         den, terms = _numerators(s)
         shift = max((len(osc) for (osc, _), _, _ in terms), default=0) + 3
         out = _Accumulator()
@@ -481,14 +603,13 @@ class FockSpace:
         by_gamma: Dict[Gamma, List[Tuple[Osc, int, int]]] = {}
         for (osc, g2), br, bz in b_terms:
             by_gamma.setdefault(g2, []).append((osc, br, bz))
+        paired = [(osc_a, g2, neg, ar, az) for (osc_a, g2), ar, az in a_terms
+                  for neg in [tuple(map(operator.neg, g2))] if neg in by_gamma]
+        signs = self._signs(self._exp_rows([t[1] for t in paired]),
+                            self._exp_rows([t[2] for t in paired])).tolist()
         re = zc = 0
-        for (osc_a, g2), ar, az in a_terms:
-            neg = tuple(map(operator.neg, g2))
-            partners = by_gamma.get(neg)
-            if not partners:
-                continue
-            sign = self._eps_sign(g2, neg)
-            for osc_b, br, bz in partners:
+        for (osc_a, g2, neg, ar, az), sign in zip(paired, signs):
+            for osc_b, br, bz in by_gamma[neg]:
                 val = _pair_value4(osc_a, osc_b, g2) * sign
                 if val:
                     re += (ar * br - az * bz) * val

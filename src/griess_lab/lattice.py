@@ -795,10 +795,12 @@ def coset_decomposition_A26(cache: Optional["DiskCache"] = None) -> CosetSystem:
     system = CosetSystem(a26, sub, tuple(reps), idx)
 
     if cache is not None:
-        cached = cache.load_cosets(a26.label, sub.label)
-        if cached is not None:
-            if cached != system.representatives:
-                raise ValueError("cached coset representatives disagree with construction")
+        try:
+            cached = cache.load_cosets(a26.label, sub.label)
+        except ValueError:
+            cached = None  # a damaged file is verified afresh and rewritten
+        # so is one whose representatives are not the constructed ones
+        if cached == system.representatives:
             system.verified = True
             return system
     system.verify()

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from griess_lab.fock import (
     FockSpace,
@@ -94,8 +95,8 @@ class TestExpMode:
         got = sp.exp_mode(beta, 1, sp.exp_state(minus))
         want = sp.oscillator_state([(beta, 1), (beta, 1)], Q(1, 2))
         want = want + sp.oscillator_state([(beta, 2)], Q(1, 2))
-        sign = sp._eps_sign(tuple(2 * Q(x) for x in beta),
-                            tuple(-2 * Q(x) for x in beta))
+        sign = _ref_sign(sp, tuple(2 * Q(x) for x in beta),
+                         tuple(-2 * Q(x) for x in beta))
         assert got == want.scale(sign)
 
     def test_leading_term_joins_exponents(self, family, cache):
@@ -218,7 +219,30 @@ def _random_weight2_state(space, family, rng, nterms=6):
 # griess_lab.fock: the same normal-ordered splittings, but every rational
 # factor is a Fraction, Heisenberg modes dot dense unit vectors, and every
 # (exponent, monomial) pair goes through the per-term kernel with no
-# prefilter.  Only the cocycle sign comes from the space.
+# prefilter.  The cocycle sign is the bilinear form of the space's cocycle
+# table on the lattice coordinates of the two exponents.
+
+_REF_PARITIES = {}
+
+
+def _ref_parities(space, g2):
+    """The lattice coordinates x of an exponent mod 2, and sum_i x_i bits[i]
+    mod 2 over the rows of the cocycle table."""
+    key = (space.lattice, g2)
+    if key not in _REF_PARITIES:
+        x = [int(c) % 2 for c in space.lattice.coords(tuple(Q(v, 2) for v in g2))]
+        bits = space.cocycle.bits
+        xb = [sum(x[i] * bits[i][j] for i in range(len(x))) % 2 for j in range(len(x))]
+        _REF_PARITIES[key] = (x, xb)
+    return _REF_PARITIES[key]
+
+
+def _ref_sign(space, beta2, gamma2):
+    """(-1)^eps(beta, gamma) = (-1)^(sum_ij x_i y_j bits[i][j]) for the
+    lattice coordinates x of beta and y of gamma."""
+    xb = _ref_parities(space, beta2)[1]
+    y = _ref_parities(space, gamma2)[0]
+    return -1 if sum(p * q for p, q in zip(xb, y)) % 2 else 1
 
 
 class _RefAccumulator:
@@ -288,7 +312,7 @@ def _ref_exp_mode_term(space, out, beta2, n, mono, coeff):
     bg = Q(sum(x * y for x, y in zip(beta2, g2)), 4)
     if bg.denominator != 1:
         raise ValueError("non-integral pairing between exponents")
-    base = coeff * space._eps_sign(beta2, g2)
+    base = coeff * _ref_sign(space, beta2, g2)
     new_g2 = tuple(a + b for a, b in zip(beta2, g2))
     for subset in itertools.chain.from_iterable(
             itertools.combinations(range(len(osc)), r) for r in range(len(osc) + 1)):
@@ -437,6 +461,156 @@ class TestIntegerKernel:
                         assert got == want, (kind, n)
                         landed[kind] += isinstance(got, FockState) and not got.is_zero()
         assert all(landed.values()), landed
+
+
+class TestBatchedKernel:
+    def test_self_product_slice_matches_reference(self, family, cache):
+        # 40 negation-closed exponentials of e_M against all of e_M: the
+        # beta = -gamma pairs land one d = 2 creation layer on the vacuum
+        # sector, and many d = 0 landings share each beta + gamma
+        sp = family.space
+        e_m = family.axes[0][0]
+        quartic = shell(family.M, 4, cache).vectors
+        half = random.Random(20261020).sample(range(len(quartic) // 2), 20)
+        picked = [quartic[k] for k in half] + [quartic[-1 - k] for k in half]
+        assert len(set(picked)) == 40
+        a = FockState()
+        for v in picked:
+            a = a + sp.exp_state(v, Q(1, 32))
+        outcomes = {}
+        for n in range(-1, 4):
+            got = _outcome(lambda: sp.apply_mode(a, n, e_m))
+            assert got == _outcome(lambda: _reference_apply_mode(sp, a, n, e_m)), n
+            outcomes[n] = got
+        assert outcomes[-1] is WeightOverflowError and outcomes[0] is WeightOverflowError
+        # the beta(-2) halves of that layer cancel over the negation-closed
+        # set, so only its beta(-1)^2 half is left
+        vacuum_sector = [osc for osc, g2 in outcomes[1].terms if osc and not any(g2)]
+        assert vacuum_sector and all(len(osc) == 2 for osc in vacuum_sector)
+
+    def test_mixed_weight_states_match_reference(self, family, cache):
+        # with b not homogeneous, landings on one exponent and one oscillator
+        # part can carry different layer weights d and must not be summed
+        sp = family.space
+        rng = random.Random(20261022)
+        roots = shell(family.e8, 2, cache).vectors
+        b = FockState()
+        for _ in range(6):
+            gamma = block_embed(roots[rng.randrange(len(roots))], rng.randrange(3), 3)
+            k = rng.choice([t for t, x in enumerate(gamma) if x])
+            c = Eisenstein(Q(rng.randint(1, 5), 3), Q(rng.randint(-2, 2), 2))
+            b = b + sp.exp_state(gamma, c) + sp.heisenberg_mode(
+                unit(24, k), -1, sp.exp_state(gamma, c * 2))
+        b = b + sp.oscillator_state([(unit(24, rng.randrange(24)), 1)], Q(1, 5))
+        landed = 0
+        for _ in range(4):
+            beta = block_embed(roots[rng.randrange(len(roots))], rng.randrange(3), 3)
+            a = sp.exp_state(beta) + sp.exp_state(tuple(-x for x in beta), ZETA)
+            for n in range(-2, 3):
+                got = _outcome(lambda: sp.apply_mode(a, n, b))
+                assert got == _outcome(lambda: _reference_apply_mode(sp, a, n, b)), n
+                landed += isinstance(got, FockState) and not got.is_zero()
+        assert landed
+
+    def test_large_numerators_use_exact_integers(self, family, cache, monkeypatch):
+        # numerators beyond 2^31 on both sides: int64 could overflow, so the
+        # kernel must switch to Python integers and still agree exactly
+        from griess_lab import fock
+        chosen = []
+        original = fock._int_dtype
+
+        def spy(bound):
+            chosen.append(original(bound))
+            return chosen[-1]
+
+        monkeypatch.setattr(fock, "_int_dtype", spy)
+        sp = family.space
+        rng = random.Random(20261021)
+        big = Eisenstein(Q(2 ** 40 + 1, 3), Q(-(2 ** 37) + 5, 7))
+        roots = shell(family.e8, 2, cache).vectors
+        quartic = shell(family.M, 4, cache).vectors + shell(family.N, 4, cache).vectors
+        a = _root_current(sp, roots[rng.randrange(len(roots))]).scale(big)
+        for _ in range(3):
+            a = a + sp.exp_state(quartic[rng.randrange(len(quartic))], big * Q(3, 5))
+        b = (_random_weight2_state(sp, family, rng, 8).scale(Q(2 ** 35 + 3, 11))
+             + family.axis(0, 0).scale(big))
+        landed = 0
+        for n in range(-1, 4):
+            got = _outcome(lambda: sp.apply_mode(a, n, b))
+            assert got == _outcome(lambda: _reference_apply_mode(sp, a, n, b)), n
+            landed += isinstance(got, FockState) and not got.is_zero()
+        assert landed
+        assert object in chosen
+
+
+def _quasi_primary_pool(family):
+    """Building blocks that interact: for E8 roots r1, r2 with <r1, r2> = -1
+    and r3 = -(r1 + r2), the norm-4 vectors +-(r, -r, 0) of M, the roots
+    +-r in the first two slots, and the coordinates those touch."""
+    roots = shell(family.e8, 2).vectors
+    r1 = roots[0]
+    r2 = next(r for r in roots if sum(x * y for x, y in zip(r1, r)) == -1)
+    base = [r1, r2, tuple(-x - y for x, y in zip(r1, r2))]
+    base += [tuple(-x for x in r) for r in base]
+    quartic = [tuple(r) + tuple(-x for x in r) + (Q(0),) * 8 for r in base]
+    pool_roots = [block_embed(r, slot, 3) for r in base for slot in (0, 1)]
+    coords = sorted({k for v in pool_roots for k, x in enumerate(v) if x})
+    return quartic, pool_roots, coords
+
+
+def _quasi_primary_state(space, family, draws):
+    """A combination of quasi-primary weight-2 monomials from the pool:
+    eps_k(-1)eps_l(-1)1, e^beta with |beta|^2 = 4, and eps_k(-1)e^gamma with
+    gamma a root and gamma_k = 0."""
+    quartic, roots, coords = _quasi_primary_pool(family)
+    s = FockState()
+    for kind, i, j, re, zc in draws:
+        c = Eisenstein(Q(re, 4), Q(zc, 3))
+        if kind == 0:
+            k, l = coords[i % len(coords)], coords[j % len(coords)]
+            s = s + space.oscillator_state([(unit(24, k), 1), (unit(24, l), 1)], c)
+        elif kind == 1:
+            s = s + space.exp_state(quartic[i % len(quartic)], c)
+        else:
+            gamma = roots[i % len(roots)]
+            free = [t for t in coords if not gamma[t]]
+            k = free[j % len(free)]
+            s = s + space.heisenberg_mode(unit(24, k), -1, space.exp_state(gamma, c))
+    return s
+
+
+_IDENTITIES = settings(derandomize=True, max_examples=25, deadline=None, database=None)
+_DRAWS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 11), st.integers(0, 7),
+                            st.integers(-3, 3), st.integers(-2, 2)),
+                  min_size=2, max_size=6)
+
+
+class TestEngineIdentities:
+    @_IDENTITIES
+    @given(_DRAWS, _DRAWS, _DRAWS)
+    def test_form_associativity_on_quasi_primaries(self, family, da, db, dc):
+        sp = family.space
+        a, b, c = (_quasi_primary_state(sp, family, d) for d in (da, db, dc))
+        assume(a and b and c)
+        ab, ac = sp.griess_product(a, b), sp.griess_product(a, c)
+        if ab and ac:
+            assert sp.invariant_form(c, ab) == sp.invariant_form(b, ac)
+        else:
+            assert not ab or sp.invariant_form(c, ab) == 0
+            assert not ac or sp.invariant_form(b, ac) == 0
+
+    @_IDENTITIES
+    @given(st.integers(0, 2 ** 32), st.integers(1, 2))
+    def test_twist_and_conjugation_preserve_products(self, family, seed, k):
+        sp = family.space
+        rng = random.Random(seed)
+        a = _random_weight2_state(sp, family, rng)
+        b = _random_weight2_state(sp, family, rng)
+        assume(a and b)
+        ab = sp.griess_product(a, b)
+        rho = lambda s: sp.rho_twist(family.a, k, s)  # noqa: E731
+        assert rho(ab) == sp.griess_product(rho(a), rho(b))
+        assert sp.theta(ab) == sp.griess_product(sp.theta(a), sp.theta(b))
 
 
 class TestInvariantForm:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from griess_lab.numerics import Matrix, Q, dot
+from griess_lab.scenarios import run_suite
 from griess_lab.lattice import (
     CosetSystem,
     DiskCache,
@@ -462,6 +463,36 @@ class TestCosets:
         again = coset_decomposition_A26(cache)
         assert again.representatives == system.representatives
         assert again.verified
+
+    @pytest.mark.parametrize("damage", ["truncated", "unparsable", "reordered"])
+    def test_damaged_cache_file_is_rewritten(self, system, tmp_path, damage):
+        cache = DiskCache(str(tmp_path))
+        coset_decomposition_A26(cache)
+        (path,) = tmp_path.glob("*.cosets")
+        good = path.read_text()
+        lines = good.splitlines()
+        if damage == "truncated":
+            lines = lines[:40]
+        elif damage == "unparsable":
+            lines[7] = "not a coset representative"
+        else:
+            # well formed, but not the representatives the construction makes
+            lines[3], lines[4] = lines[4], lines[3]
+        path.write_text("\n".join(lines) + "\n")
+        again = coset_decomposition_A26(cache)
+        assert again.verified
+        assert again.representatives == system.representatives
+        assert path.read_text() == good
+
+    def test_truncated_cache_file_leaves_the_suite_passing(self, tmp_path):
+        cache = DiskCache(str(tmp_path))
+        coset_decomposition_A26(cache)
+        (path,) = tmp_path.glob("*.cosets")
+        good = path.read_text()
+        path.write_text("\n".join(good.splitlines()[:40]) + "\n")
+        report = run_suite("lattice-combinatorics", cache=cache)
+        assert [r.status for r in report.results] == ["pass"] * len(report.results)
+        assert path.read_text() == good
 
 
 class TestDiskCache:

@@ -95,9 +95,6 @@ class LinearEndo:
     matrix: Matrix
     automorphism: bool = False
 
-    def apply(self, x: Sequence) -> Vector:
-        return self.matrix.matvec(_vec(x))
-
     def compose(self, other: "LinearEndo") -> "LinearEndo":
         return LinearEndo(self.matrix.matmul(other.matrix),
                           self.automorphism and other.automorphism)
@@ -421,25 +418,6 @@ def standard_frame(A: StructureAlgebra) -> Tuple[Vector, Vector, Vector]:
     return e00, a1, b1
 
 
-def isomorphism_check(A: StructureAlgebra, B: StructureAlgebra,
-                      basis_map: Sequence[int]) -> bool:
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
-    perm = list(basis_map)
-    if sorted(perm) != list(range(A.dim)):
-        raise ValueError("basis_map must be a bijection of indices")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if A.gram.rows[i][j] != B.gram.rows[perm[i]][perm[j]]:
-                return False
-            mapped = [Q(0)] * A.dim
-            for k, c in enumerate(A.table[i][j]):
-                mapped[perm[k]] = c
-            if tuple(mapped) != B.table[perm[i]][perm[j]]:
-                return False
-    return True
-
-
 # -- central charge bookkeeping ---------------------------------------------------
 
 
@@ -504,42 +482,3 @@ def algebra_from_griess(space, states: Sequence, labels: Sequence[str]
         table[i].append(coeffs)
     full = [[table[max(i, j)][min(i, j)] for j in range(d)] for i in range(d)]
     return StructureAlgebra(labels, full, gram_rows)
-
-
-# -- serialization ------------------------------------------------------------------
-
-
-def dump_algebra(A: StructureAlgebra) -> str:
-    lines = [f"griess-lab-alg v1 {A.dim} " + " ".join(A.labels)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k, c in enumerate(A.table[i][j]):
-                if c:
-                    lines.append(f"{i} {j} {k} {c}")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if A.gram.rows[i][j]:
-                lines.append(f"gram {i} {j} {A.gram.rows[i][j]}")
-    return "\n".join(lines) + "\n"
-
-
-def load_algebra(text: str) -> StructureAlgebra:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
-    if header[:2] != ["griess-lab-alg", "v1"]:
-        raise ValueError("bad algebra header")
-    d = int(header[2])
-    labels = header[3:]
-    if len(labels) != d:
-        raise ValueError("label count does not match dimension")
-    table = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
-    gram = [[Q(0)] * d for _ in range(d)]
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "gram":
-            i, j = int(parts[1]), int(parts[2])
-            gram[i][j] = Fraction(parts[3])
-        else:
-            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-            table[i][j][k] = Fraction(parts[3])
-    return StructureAlgebra(labels, table, gram)

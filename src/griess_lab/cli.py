@@ -35,9 +35,7 @@ from .lattice import (
 )
 from .scenarios import DEFAULT_SEED, SUITE_NAMES, emit_report, run_suite
 
-CONFIG_KEYS = ("cache-dir", "seed", "jobs", "suite", "format", "closure-bound")
-
-DEFAULT_CLOSURE_BOUND = 10 ** 4
+CONFIG_KEYS = ("cache-dir", "seed", "jobs", "suite", "format")
 
 
 class ConfigError(Exception):
@@ -54,7 +52,6 @@ class Config:
     jobs: int
     suite: str
     format: str
-    closure_bound: int
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -115,13 +112,8 @@ def resolve_config(args: argparse.Namespace) -> Config:
     format_ = pick(getattr(args, "format", None), "format", "text")
     if format_ not in ("json", "text"):
         raise ConfigError(f"unknown format {format_!r}; expected json or text")
-    closure_bound = _parse_int(pick(None, "closure-bound",
-                                    str(DEFAULT_CLOSURE_BOUND)),
-                               "closure-bound")
-    if closure_bound < 18:
-        raise ConfigError("closure-bound must be at least 18")
     return Config(cache_dir=cache_dir, seed=seed, jobs=jobs, suite=suite,
-                  format=format_, closure_bound=closure_bound)
+                  format=format_)
 
 
 # -- object resolution --------------------------------------------------------------
@@ -196,8 +188,7 @@ def cmd_verify(cfg: Config, out=None, err=None, timing: bool = False,
         err.flush()
 
     report = run_suite(cfg.suite, seed=cfg.seed, jobs=cfg.jobs,
-                       cache=DiskCache(cfg.cache_dir),
-                       timing=timing, closure_bound=cfg.closure_bound,
+                       cache=DiskCache(cfg.cache_dir), timing=timing,
                        progress=report_progress if progress else None)
     out.write(emit_report(report, cfg.format, timing=timing))
     if not report.ok:
@@ -237,22 +228,11 @@ def cmd_inspect(cfg: Config, words: Sequence[str], out=None) -> int:
         "axis <i> <j> | state-dump <expr>")
 
 
-def _status_lines(cache: DiskCache) -> List[str]:
-    lines = []
-    for header in cache.status():
-        parts = header.split()
-        if parts[0] == "griess-lab-shell":
-            lines.append(f"{parts[2]}:{parts[3]} ({parts[4]} vectors)")
-        elif parts[0] == "griess-lab-cosets":
-            lines.append(f"cosets {parts[3]} < {parts[2]} ({parts[4]} classes)")
-    return lines
-
-
 def cmd_cache(cfg: Config, action: str, out=None) -> int:
     out = out if out is not None else sys.stdout
     cache = DiskCache(cfg.cache_dir)
     if action == "status":
-        lines = _status_lines(cache)
+        lines = cache.status()
         if not lines:
             out.write("cache empty\n")
         for line in lines:
@@ -269,7 +249,7 @@ def cmd_cache(cfg: Config, action: str, out=None) -> int:
         e8 = build_standard("E8")
         shell(direct_sum([e8] * 3, "E8^3"), 2, cache)
         coset_decomposition_A26(cache)
-        for line in _status_lines(cache):
+        for line in cache.status():
             out.write(line + "\n")
         return 0
     raise ValueError("expected one of: build, clear, status")
@@ -311,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("object", nargs="*",
                            help="lattice <name> | shell <name> <norm> | "
                                 "axis <i> <j> | state-dump <expr>")
-    p_inspect.add_argument("--dump-state", metavar="EXPR",
-                           help="print the dump of a named state "
-                                "(same grammar as state-dump)")
 
     p_cache = sub.add_parser("cache", parents=[common],
                              help="precompute, list, or clear cached shells")
@@ -333,10 +310,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, timing=args.timing, progress=args.progress)
         if args.command == "inspect":
-            if args.dump_state:
-                return cmd_inspect(cfg, ["state-dump", args.dump_state])
             if not args.object:
-                raise ValueError("inspect needs an object or --dump-state")
+                raise ValueError("inspect needs an object")
             return cmd_inspect(cfg, args.object)
         if args.command == "cache":
             return cmd_cache(cfg, args.action)

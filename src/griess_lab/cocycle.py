@@ -49,9 +49,6 @@ class CocycleTable:
     def epsilon(self, gamma: Sequence, delta: Sequence) -> int:
         return self.epsilon_coords(self._int_coords(gamma), self._int_coords(delta))
 
-    def sign(self, gamma: Sequence, delta: Sequence) -> int:
-        return -1 if self.epsilon(gamma, delta) else 1
-
 
 def build_epsilon0(L: Lattice) -> CocycleTable:
     """Upper-triangular cocycle table of an even integral lattice."""

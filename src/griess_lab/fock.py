@@ -187,9 +187,6 @@ class FockState:
     def exponents(self) -> List[Gamma]:
         return sorted({g2 for _, g2 in self.terms})
 
-    def coefficient(self, mono: Monomial) -> Eisenstein:
-        return self.terms.get(mono, ZERO)
-
 
 def _numerators(s: FockState) -> Tuple[int, List[Num]]:
     """The terms of s as Eisenstein-integer numerators over the least
@@ -713,29 +710,6 @@ class FockSpace:
             gamma_part = " ".join(str(Q(x, 2)) for x in g2)
             lines.append(f"{c.re} {c.zc} | {osc_part} | {gamma_part}")
         return "\n".join(lines) + "\n"
-
-    def load_state(self, text: str) -> FockState:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split()
-        if header[:2] != ["griess-lab-state", "v1"]:
-            raise ValueError("bad state header")
-        count = int(header[2])
-        body = lines[1:]
-        if len(body) != count:
-            raise ValueError(f"expected {count} monomial lines, found {len(body)}")
-        total = FockState()
-        for ln in body:
-            coeff_part, osc_part, gamma_part = (p.strip() for p in ln.split("|"))
-            re_s, zc_s = coeff_part.split()
-            c = Eisenstein(Fraction(re_s), Fraction(zc_s))
-            gamma = tuple(Fraction(t) for t in gamma_part.split()) if gamma_part \
-                else (Q(0),) * self.dim
-            factors = []
-            for tok in osc_part.split():
-                n_s, dir_s = tok.split(":")
-                factors.append((tuple(Fraction(x) for x in dir_s.split(",")), int(n_s)))
-            total = total + self.oscillator_state(factors, c, gamma)
-        return total
 
 
 # -- the nine-axis configuration in the triple E8 Fock space ------------------

@@ -3,8 +3,7 @@
 A lattice is stored as a row basis over Q.  All norms and inner
 products come from the ambient standard inner product; the interesting
 lattices here are the even-coordinate model of E8, its triple direct
-sum, root lattices A_n, rescalings by sqrt(2) (realized rationally by
-doubling coordinates), tensor products, and the index-3 sublattice of
+sum, root lattices A_n, tensor products, and the index-3 sublattice of
 E8 isometric to A8 together with its glue structure.
 
 Shell enumeration (all vectors of a prescribed norm) is exact: a
@@ -240,16 +239,6 @@ def _build_e8() -> Lattice:
     return Lattice("E8", basis)
 
 
-def sqrt2_scale(L: Lattice, label: Optional[str] = None) -> Lattice:
-    """The same abstract lattice with all inner products doubled.
-
-    Realized rationally by repeating each basis row in two coordinate
-    blocks, so <(b,b),(c,c)> = 2<b,c>.
-    """
-    basis = [tuple(r) + tuple(r) for r in L.basis]
-    return Lattice(label or f"sqrt2.{L.label}", basis)
-
-
 def direct_sum(parts: Sequence[Lattice], label: Optional[str] = None) -> Lattice:
     total = sum(p.ambient_dim for p in parts)
     basis = []
@@ -292,7 +281,7 @@ def difference_lattice(L: Lattice, pos: int, neg: int, label: str) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# integer row reduction (sums, annihilators, equality)
+# integer row reduction (sums and annihilators)
 
 
 def _int_row_echelon(rows: List[List[int]], track: bool = False):
@@ -354,12 +343,6 @@ def lattice_sum(A: Lattice, B: Lattice, label: Optional[str] = None) -> Lattice:
     h = _int_row_echelon(rows)
     basis = [[Fraction(x, den) for x in r] for r in h if any(r)]
     return Lattice(label or f"{A.label}+{B.label}", basis)
-
-
-def lattice_eq(A: Lattice, B: Lattice) -> bool:
-    if A.ambient_dim != B.ambient_dim or A.rank != B.rank:
-        return False
-    return all(B.contains(r) for r in A.basis) and all(A.contains(r) for r in B.basis)
 
 
 def index_in(sub: Lattice, sup: Lattice) -> int:
@@ -688,8 +671,8 @@ class EmbeddingMaps:
     """Coordinate embeddings of Z^{n+1} and Z^{k+1} into Z^{(n+1)(k+1)}.
 
     eta(i, .) copies a vector into the i-th of k+1 blocks; iota(i, .)
-    spreads a vector across blocks at offset i; d and mu are the sums of
-    all eta respectively iota maps and scale norms by k+1 resp. n+1.
+    spreads a vector across blocks at offset i; mu is the sum of all iota
+    maps and scales norms by n+1.
     """
 
     def __init__(self, n: int, k: int) -> None:
@@ -716,12 +699,6 @@ class EmbeddingMaps:
         out = [Fraction(0)] * self.total
         for j, x in enumerate(vq):
             out[self.block * j + i] = x
-        return tuple(out)
-
-    def d(self, v: Sequence) -> QVec:
-        out = [Fraction(0)] * self.total
-        for i in range(self.blocks):
-            out = [a + b for a, b in zip(out, self.eta(i, v))]
         return tuple(out)
 
     def mu(self, v: Sequence) -> QVec:
@@ -910,12 +887,21 @@ class DiskCache:
                     f"{_COSET_HEADER} {sup_label} {sub_label} {len(reps)}", reps)
 
     def status(self) -> List[str]:
+        """One line per cached file saying what it holds, or naming it as
+        damaged when its first line is not a header this cache writes."""
         lines = []
         for name in sorted(os.listdir(self.directory)):
-            path = os.path.join(self.directory, name)
-            if name.endswith(".shell") or name.endswith(".cosets"):
-                with open(path, "r", encoding="ascii") as fh:
-                    lines.append(fh.readline().strip())
+            if not name.endswith((".shell", ".cosets")):
+                continue
+            with open(os.path.join(self.directory, name), "r", encoding="ascii",
+                      errors="replace") as fh:
+                header = fh.readline().split()
+            if header[:2] == _SHELL_HEADER.split() and len(header) == 7:
+                lines.append(f"{header[2]}:{header[3]} ({header[4]} vectors)")
+            elif header[:2] == _COSET_HEADER.split() and len(header) == 5:
+                lines.append(f"cosets {header[3]} < {header[2]} ({header[4]} classes)")
+            else:
+                lines.append(f"{name}: damaged")
         return lines
 
     def clear(self) -> int:

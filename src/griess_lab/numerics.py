@@ -54,9 +54,6 @@ class Eisenstein:
         """Coefficient of zeta."""
         return self._zc
 
-    def is_rational(self) -> bool:
-        return self._zc == 0
-
     def rational_part(self) -> Fraction:
         """The value as a Fraction; raises if the zeta coefficient is nonzero."""
         if self._zc != 0:
@@ -314,7 +311,7 @@ class Matrix:
                 sign = -sign
             pv = m[col][col]
             det = det * pv
-            inv = 1 / pv if not isinstance(pv, Eisenstein) else ONE / pv
+            inv = 1 / pv
             for i in range(col + 1, n):
                 if m[i][col] != 0:
                     f = m[i][col] * inv

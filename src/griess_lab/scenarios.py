@@ -62,7 +62,7 @@ from .lattice import (
     shell,
     sublattice_K,
 )
-from .numerics import ONE, ZETA, Matrix, Q, dot
+from .numerics import SQRT_MINUS_3, Matrix, Q, dot
 
 DEFAULT_SEED = 104729
 
@@ -134,11 +134,9 @@ class SuiteContext:
     workers, so parallel runs share them by inheritance.
     """
 
-    def __init__(self, cache: DiskCache, seed: int,
-                 closure_bound: int = 10 ** 4) -> None:
+    def __init__(self, cache: DiskCache, seed: int) -> None:
         self.cache = cache
         self.seed = seed
-        self.closure_bound = closure_bound
         self._memo: Dict[str, object] = {}
 
     def rng(self) -> random.Random:
@@ -371,9 +369,8 @@ def _miyamoto_group(ctx):
     g9 = ctx.g9
     taus = {(i, j): miyamoto_tau(g9, axis_vector(g9, i, j))
             for i in range(3) for j in range(3)}
-    grp = group_closure([taus[(0, 0)], taus[(0, 1)], taus[(1, 0)]],
-                        bound=ctx.closure_bound)
-    full = group_closure(list(taus.values()), bound=ctx.closure_bound)
+    grp = group_closure([taus[(0, 0)], taus[(0, 1)], taus[(1, 0)]])
+    full = group_closure(list(taus.values()))
     g = taus[(0, 0)].compose(taus[(1, 0)])
     h = taus[(0, 0)].compose(taus[(0, 1)])
     computed = (grp.shape_certificate(),
@@ -627,9 +624,8 @@ def _conjugation_action(ctx):
 def _twist_decomposition(ctx):
     fam = ctx.family
     x0, x1, x2 = ctx.real_form
-    root_minus_3 = ONE + ZETA + ZETA
     display = x0 + (x1 + x2).scale(Q(-1, 2)) \
-        + (x1 - x2).scale(root_minus_3 * Q(1, 2))
+        + (x1 - x2).scale(SQRT_MINUS_3 * Q(1, 2))
     return display == fam.axes[1][0], True
 
 
@@ -746,9 +742,7 @@ def _results(ctx: SuiteContext, ids: Sequence[str],
 
 def run_suite(name: str, *, seed: int = DEFAULT_SEED, jobs: int = 1,
               cache: Optional[DiskCache] = None,
-              cache_dir: Optional[str] = None,
               timing: bool = False,
-              closure_bound: int = 10 ** 4,
               progress: Optional[Callable[[int, int, CheckResult], None]] = None
               ) -> VerificationReport:
     """Run the named suite and assemble a report ordered by check id.
@@ -764,8 +758,8 @@ def run_suite(name: str, *, seed: int = DEFAULT_SEED, jobs: int = 1,
         raise ValueError("jobs must be at least 1")
     ids = SUITES[name]
     if cache is None:
-        cache = DiskCache(cache_dir or default_cache_dir())
-    ctx = SuiteContext(cache, seed, closure_bound)
+        cache = DiskCache(default_cache_dir())
+    ctx = SuiteContext(cache, seed)
     for check_id in ids:
         for attr in CHECKS[check_id].warm:
             getattr(ctx, attr)
@@ -780,12 +774,11 @@ def run_suite(name: str, *, seed: int = DEFAULT_SEED, jobs: int = 1,
 
 
 def cross_validate(*, cache: Optional[DiskCache] = None,
-                   cache_dir: Optional[str] = None,
                    seed: int = DEFAULT_SEED) -> VerificationReport:
     """Compare the realized axis algebra against the structure-constant
     tables, reporting every mismatching table or Gram entry separately."""
     if cache is None:
-        cache = DiskCache(cache_dir or default_cache_dir())
+        cache = DiskCache(default_cache_dir())
     ctx = SuiteContext(cache, seed)
     table_mm, gram_mm = ctx.axis_table_mismatches
     results = [replace(_run_check(ctx, "fock.04.table-cross-validation"),

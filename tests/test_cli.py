@@ -81,8 +81,7 @@ class TestConfig:
         args = build_parser().parse_args(["verify"])
         cfg = resolve_config(args)
         assert cfg == Config(cache_dir=cfg.cache_dir, seed=scenarios.DEFAULT_SEED,
-                             jobs=1, suite="all", format="text",
-                             closure_bound=10 ** 4)
+                             jobs=1, suite="all", format="text")
         assert cfg.cache_dir.endswith("griess-lab")
 
     def test_invalid_values(self, tmp_path):
@@ -92,7 +91,6 @@ class TestConfig:
                 ("jobs = 0\n", "jobs"),
                 ("suite = nosuch\n", "unknown suite"),
                 ("format = yaml\n", "unknown format"),
-                ("closure-bound = 2\n", "closure-bound"),
         ):
             path = tmp_path / "cfg"
             path.write_text(content)
@@ -288,13 +286,6 @@ class TestInspectCommand:
         assert code == 0
         assert out.startswith("griess-lab-state v1 12\n")
 
-    def test_dump_state_flag(self, cache_dir, capsys):
-        code, out, _ = run_main(
-            ["inspect", "--dump-state", "parafermion:3",
-             "--cache-dir", cache_dir], capsys)
-        assert code == 0
-        assert out.startswith("griess-lab-state v1 ")
-
     def test_family_lattice_names(self, cache_dir, capsys):
         code, out, _ = run_main(
             ["inspect", "lattice", "K", "--cache-dir", cache_dir], capsys)
@@ -366,6 +357,18 @@ class TestCacheCommand:
         code, out, _ = run_main(["cache", "status", "--cache-dir", fresh],
                                 capsys)
         assert out == "cache empty\n"
+
+    def test_status_names_damaged_files(self, tmp_path, capsys):
+        fresh = tmp_path / "cachedir"
+        shell(build_standard("A", 2), 2, DiskCache(str(fresh)))
+        (fresh / "empty__2_1.v2.shell").write_text("")
+        (fresh / "other.cosets").write_text("not a header\n1 2 3\n")
+        code, out, _ = run_main(["cache", "status", "--cache-dir", str(fresh)],
+                                capsys)
+        assert code == 0
+        assert out.splitlines() == ["A2:2 (6 vectors)",
+                                    "empty__2_1.v2.shell: damaged",
+                                    "other.cosets: damaged"]
 
     def test_build_warms_suite_shells(self, cache_dir, capsys):
         code, out, _ = run_main(["cache", "build", "--cache-dir", cache_dir],

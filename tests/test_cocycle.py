@@ -71,7 +71,6 @@ def test_roots_square_to_minus_one(table, e8, cache):
     # the sign of e^a e^{-a} for every norm-2 vector
     for alpha in shell(e8, 2, cache).vectors:
         assert table.epsilon(alpha, tuple(-x for x in alpha)) == 1
-        assert table.sign(alpha, tuple(-x for x in alpha)) == -1
 
 
 def test_componentwise_extension(table, triple_table, e8):

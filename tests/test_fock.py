@@ -18,7 +18,7 @@ from griess_lab.fock import (
 )
 from griess_lab.lattice import (
     EmbeddingMaps, block_embed, build_standard, lattice_sum, shell)
-from griess_lab.numerics import Eisenstein, ONE, Q, ZETA
+from griess_lab.numerics import Eisenstein, ONE, Q, ZERO, ZETA
 
 
 def osc(space, h, n=1, coeff=1):
@@ -108,7 +108,7 @@ class TestExpMode:
         got = sp.exp_mode(beta, 1, sp.exp_state(gamma))
         joined = tuple(x + y for x, y in zip(beta, gamma))
         assert len(got) == 1
-        coeff = got.coefficient(((), tuple(int(2 * x) for x in joined)))
+        coeff = got.terms[((), tuple(int(2 * x) for x in joined))]
         assert coeff in (ONE, -ONE)
 
     def test_nonnegative_pairing_annihilates(self, family, cache):
@@ -635,7 +635,7 @@ class TestInvariantForm:
             b = _random_weight2_state(sp, family, rng)
             if a.is_zero() or b.is_zero():
                 continue
-            assert sp.invariant_form(a, b) == sp.apply_mode(a, 3, b).coefficient(vacuum_key)
+            assert sp.invariant_form(a, b) == sp.apply_mode(a, 3, b).terms.get(vacuum_key, ZERO)
 
     def test_symmetric(self, family):
         sp = family.space
@@ -874,24 +874,3 @@ class TestRealForm:
         display = x0 + (x1 + x2).scale(Q(-1, 2)) \
             + (x1 - x2).scale(root_minus_3 * Q(1, 2))
         assert display == family.axes[1][0]
-
-
-class TestSerialization:
-    def test_round_trip(self, family):
-        sp = family.space
-        states = [
-            family.axes[0][0],
-            sugawara_omega(family),
-            family.axes[1][1].scale(ZETA) + sp.virasoro_of_subspace(family.M),
-        ]
-        for s in states:
-            assert sp.load_state(sp.dump_state(s)) == s
-
-    def test_header_and_count_validation(self, family):
-        sp = family.space
-        with pytest.raises(ValueError):
-            sp.load_state("wrong v1 0\n")
-        text = sp.dump_state(family.axes[0][0])
-        truncated = "\n".join(text.splitlines()[:-1]) + "\n"
-        with pytest.raises(ValueError):
-            sp.load_state(truncated)

@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every public def of the package has a caller outside the tests."""
 
 import ast
+import collections
 import pathlib
+import re
 
 import pytest
 
@@ -33,3 +36,71 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Public names that only tests call, each kept for the reason given.
+KEEP = {
+    "translate": "FockSpace.translate (the L(-1) map) backs the skew-symmetry test",
+    "shell_brute_force": "independent oracle for shell enumeration",
+    "tensor_product": "builds A2 (x) E8 for the M+N isometry test",
+    "epsilon": "CocycleTable.epsilon on vectors, the form the cocycle tests check",
+    "cross_validate": "entry-by-entry table report of acceptance criterion 09",
+}
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _identifiers(tree):
+    """Count of each name, attribute name and identifier-like string."""
+    found = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found[node.value] += 1
+    return found
+
+
+def _public_defs(tree):
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in members:
+            if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
+                yield d
+
+
+def uncalled_defs(modules, others):
+    """(module, name) of each public top-level def or method in `modules`
+    (name -> source) that nothing references outside its own body, in the
+    modules or in the trees `others`, and that KEEP does not list."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    counts = {name: _identifiers(tree) for name, tree in trees.items()}
+    outside = sum((_identifiers(t) for t in others), collections.Counter())
+    uncalled = []
+    for name, tree in trees.items():
+        elsewhere = outside + sum((c for n, c in counts.items() if n != name),
+                                  collections.Counter())
+        for d in _public_defs(tree):
+            here = counts[name][d.name] - _identifiers(d)[d.name]
+            if not here and not elsewhere[d.name] and d.name not in KEEP:
+                uncalled.append((name, d.name))
+    return sorted(uncalled)
+
+
+def test_scanner_flags_an_uncalled_def():
+    modules = {"a": "def used():\n    return 1\n\n\ndef dead(n):\n    return dead(n - 1)\n",
+               "b": "class C:\n    def m(self):\n        return used()\n",
+               "c": "def translate():\n    pass\n"}
+    assert uncalled_defs(modules, [ast.parse("C().m()")]) == [("a", "dead")]
+    assert uncalled_defs(modules, []) == [("a", "dead"), ("b", "m")]
+
+
+def test_every_public_def_has_a_caller():
+    modules = {p.name: p.read_text() for p in MODULES}
+    others = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    others += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    assert uncalled_defs(modules, others) == []

@@ -16,18 +16,17 @@ from griess_lab.lattice import (
     block_embed,
     build_standard,
     coset_decomposition_A26,
+    difference_lattice,
     direct_sum,
     find_a,
     glue_vector,
     index_in,
     int_adjugate,
-    lattice_eq,
     lattice_sum,
     map_lattice,
     root_system_type,
     shell,
     shell_brute_force,
-    sqrt2_scale,
     sublattice_K,
     tensor_product,
 )
@@ -144,10 +143,6 @@ class TestConstructions:
         z3 = build_standard("Z", 3)
         assert z3.det == 1 and z3.gram.rows == Matrix.identity(3, Q(1), Q(0)).rows
 
-    def test_sqrt2_doubles_gram(self, e8):
-        s = sqrt2_scale(e8)
-        assert s.gram.rows == scaled_gram(e8, 2)
-
     def test_direct_sum_and_tensor_dets(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -255,7 +250,7 @@ class TestShells:
         assert len(shell(t, 4, cache)) == 720
 
     def test_sqrt2_e8_has_no_roots(self, e8):
-        s = sqrt2_scale(e8)
+        s = difference_lattice(e8, 0, 1, "M")
         assert len(shell(s, 2)) == 0
         assert len(shell(s, 4)) == 240
 
@@ -284,7 +279,7 @@ class TestRootSystemType:
         assert root_system_type(e8, cache) == "E8"
 
     def test_no_roots_signal(self, e8):
-        assert root_system_type(sqrt2_scale(e8)) == "no roots"
+        assert root_system_type(difference_lattice(e8, 0, 1, "M")) == "no roots"
 
     def test_nonspanning_roots_signal(self):
         # Z + A1-at-norm-2 mixture: roots span only one of two dimensions
@@ -347,7 +342,7 @@ class TestTripleSumGeometry:
         mapped += [tuple(x - y for x, y in zip(block_embed(b, 1, 3), block_embed(b, 2, 3)))
                    for b in e8.basis]
         assert Matrix([[dot(u, v) for v in mapped] for u in mapped]).rows == t.gram.rows
-        assert lattice_eq(MN, Lattice("mapped", mapped))
+        assert index_in(Lattice("mapped", mapped), MN) == 1
 
     def test_annihilator_is_diagonal(self, e8, triple):
         L, M, N = triple
@@ -387,12 +382,6 @@ class TestGlueAndEmbeddings:
         for u in a8.basis:
             for v in a8.basis:
                 assert dot(maps.eta(0, u), maps.eta(1, v)) == 0
-
-    def test_diagonal_map_scales_gram_by_block_count(self):
-        maps = EmbeddingMaps(8, 2)
-        a8 = build_standard("A", 8)
-        g = Matrix([[dot(maps.d(u), maps.d(v)) for v in a8.basis] for u in a8.basis])
-        assert g.rows == scaled_gram(a8, 3)
 
     def test_repeat_map_scales_gram_by_block_size(self):
         maps = EmbeddingMaps(8, 2)
@@ -501,8 +490,9 @@ class TestDiskCache:
         s = shell(e8, 2, cache)
         loaded = cache.load_shell("E8", Fraction(2))
         assert loaded is not None and loaded.vectors == s.vectors
-        lines = cache.status()
-        assert lines == [f"griess-lab-shell v2 E8 2 240 2 {e8._digest}"]
+        with open(cache._shell_path("E8", Fraction(2))) as fh:
+            assert fh.readline() == f"griess-lab-shell v2 E8 2 240 2 {e8._digest}\n"
+        assert cache.status() == ["E8:2 (240 vectors)"]
         assert cache.clear() == 1
         assert cache.load_shell("E8", Fraction(2)) is None
 
@@ -582,9 +572,9 @@ class TestIndexAndSum:
             index_in(z8, e8)
 
     def test_sum_of_lattice_with_itself(self, e8):
-        assert lattice_eq(lattice_sum(e8, e8), e8)
+        assert index_in(lattice_sum(e8, e8), e8) == 1
 
     def test_sum_commutes(self, e8, a_vector):
         K = sublattice_K(e8, a_vector)
         left = lattice_sum(K, e8)
-        assert lattice_eq(left, e8)
+        assert index_in(left, e8) == 1

@@ -5,7 +5,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-from griess_lab import scenarios
 from griess_lab.scenarios import (
     CHECKS,
     CheckDef,
@@ -181,11 +180,6 @@ class TestFailurePath:
         text = emit_report(report, "text")
         assert "[FAIL] zz.01.bad" in text
         assert "expected 1/3" in text
-
-    def test_closure_bound_is_threaded(self, cache):
-        with pytest.raises(RuntimeError, match="exceeded bound"):
-            ctx = scenarios.SuiteContext(cache, 1, closure_bound=5)
-            CHECKS["abstract.09.miyamoto-group"].fn(ctx)
 
 
 @pytest.fixture

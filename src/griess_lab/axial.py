@@ -172,13 +172,12 @@ def axis_vector(A: StructureAlgebra, i: int, j: int) -> Vector:
     return A.unit(_g9_index(i, j))
 
 
-def line_sum_idempotent(A: StructureAlgebra, points: Sequence[Tuple[int, int]],
-                        base: Tuple[int, int] = (0, 0)) -> Vector:
-    """(32/33)(sum of a line of axes) - base axis."""
+def line_sum_idempotent(A: StructureAlgebra, points: Sequence[Tuple[int, int]]) -> Vector:
+    """(32/33)(sum of a line of axes) - axis e00."""
     acc = [Q(0)] * A.dim
     for i, j in points:
         acc[_g9_index(i, j)] += Q(32, 33)
-    acc[_g9_index(*base)] -= 1
+    acc[_g9_index(0, 0)] -= 1
     return tuple(acc)
 
 
@@ -219,12 +218,10 @@ def adjoint(A: StructureAlgebra, v: Sequence) -> LinearEndo:
     return LinearEndo(Matrix(rows))
 
 
-def adjoint_eigenspaces(A: StructureAlgebra, v: Sequence,
-                        candidates: Sequence[Fraction] = (Q(2), Q(0), HALF, SIXTEENTH)
-                        ) -> Dict[Fraction, List[Vector]]:
+def adjoint_eigenspaces(A: StructureAlgebra, v: Sequence) -> Dict[Fraction, List[Vector]]:
     m = adjoint(A, v).matrix
     spaces = {}
-    for lam in candidates:
+    for lam in (Q(2), Q(0), HALF, SIXTEENTH):
         basis = m.eigenspace(lam)
         if basis:
             spaces[lam] = [tuple(b) for b in basis]
@@ -241,14 +238,20 @@ def _involution_from_split(A: StructureAlgebra, plus: List[Vector],
     return p.matmul(d).matmul(p.inverse())
 
 
-def miyamoto_tau(A: StructureAlgebra, e: Sequence) -> LinearEndo:
-    """Involution acting as -1 on the 1/16 part of the adjoint of an axis."""
+def _axis_eigenspaces(A: StructureAlgebra, e: Sequence) -> Dict[Fraction, List[Vector]]:
+    """The adjoint eigenspaces of a central charge 1/2 axis, which must
+    span the algebra."""
     if certify_virasoro(A, e) != HALF:
         raise ValueError("axis must be idempotent of central charge 1/2")
     spaces = adjoint_eigenspaces(A, e)
-    total = sum(len(b) for b in spaces.values())
-    if total != A.dim:
+    if sum(len(b) for b in spaces.values()) != A.dim:
         raise ValueError("adjoint eigenvalues outside {2, 0, 1/2, 1/16}")
+    return spaces
+
+
+def miyamoto_tau(A: StructureAlgebra, e: Sequence) -> LinearEndo:
+    """Involution acting as -1 on the 1/16 part of the adjoint of an axis."""
+    spaces = _axis_eigenspaces(A, e)
     plus = [v for lam in (Q(2), Q(0), HALF) for v in spaces.get(lam, [])]
     minus = list(spaces.get(SIXTEENTH, []))
     return as_automorphism(A, _involution_from_split(A, plus, minus))
@@ -257,12 +260,7 @@ def miyamoto_tau(A: StructureAlgebra, e: Sequence) -> LinearEndo:
 def miyamoto_sigma(A: StructureAlgebra, e: Sequence) -> LinearEndo:
     """Involution of the tau-fixed subalgebra: -1 on the 1/2 part,
     extended by the identity elsewhere."""
-    if certify_virasoro(A, e) != HALF:
-        raise ValueError("axis must be idempotent of central charge 1/2")
-    spaces = adjoint_eigenspaces(A, e)
-    total = sum(len(b) for b in spaces.values())
-    if total != A.dim:
-        raise ValueError("adjoint eigenvalues outside {2, 0, 1/2, 1/16}")
+    spaces = _axis_eigenspaces(A, e)
     plus = [v for lam in (Q(2), Q(0), SIXTEENTH) for v in spaces.get(lam, [])]
     minus = list(spaces.get(HALF, []))
     m = _involution_from_split(A, plus, minus)

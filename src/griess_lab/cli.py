@@ -178,69 +178,63 @@ def resolve_state_expr(expr: str, cache: DiskCache):
 EXIT_CHECK_ERROR = 3
 
 
-def cmd_verify(cfg: Config, out=None, err=None, timing: bool = False,
-               progress: bool = False) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-
+def cmd_verify(cfg: Config, timing: bool = False, progress: bool = False) -> int:
     def report_progress(k: int, n: int, r) -> None:
-        err.write(f"[{k}/{n}] {r.id} {r.status} ({r.elapsed_ms} ms)\n")
-        err.flush()
+        sys.stderr.write(f"[{k}/{n}] {r.id} {r.status} ({r.elapsed_ms} ms)\n")
+        sys.stderr.flush()
 
     report = run_suite(cfg.suite, seed=cfg.seed, jobs=cfg.jobs,
                        cache=DiskCache(cfg.cache_dir), timing=timing,
                        progress=report_progress if progress else None)
-    out.write(emit_report(report, cfg.format, timing=timing))
+    sys.stdout.write(emit_report(report, cfg.format, timing=timing))
     if not report.ok:
-        err.write("failing checks: " + ", ".join(report.failures) + "\n")
+        sys.stderr.write("failing checks: " + ", ".join(report.failures) + "\n")
     if report.errors:
-        err.write("checks that raised: " + ", ".join(report.errors) + "\n")
+        sys.stderr.write("checks that raised: " + ", ".join(report.errors) + "\n")
         return EXIT_CHECK_ERROR
     return 0 if report.ok else 1
 
 
-def cmd_inspect(cfg: Config, words: Sequence[str], out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_inspect(cfg: Config, words: Sequence[str]) -> int:
     cache = DiskCache(cfg.cache_dir)
     kind = words[0]
     if kind == "lattice" and len(words) == 2:
         lat = resolve_lattice(words[1], cache)
-        out.write(f"lattice {lat.label}: rank {lat.rank}, "
-                  f"ambient {lat.ambient_dim}, det {lat.det}\n")
+        sys.stdout.write(f"lattice {lat.label}: rank {lat.rank}, "
+                         f"ambient {lat.ambient_dim}, det {lat.det}\n")
         return 0
     if kind == "shell" and len(words) == 3:
         lat = resolve_lattice(words[1], cache)
         norm = Fraction(words[2])
         count = len(shell(lat, norm, cache))
-        out.write(f"shell {lat.label} norm {norm}: {count} vectors\n")
+        sys.stdout.write(f"shell {lat.label} norm {norm}: {count} vectors\n")
         return 0
     if kind == "axis" and len(words) == 3:
         family = build_axis_family(cache=cache)
         state = family.axis(int(words[1]), int(words[2]))
-        out.write(family.space.dump_state(state))
+        sys.stdout.write(family.space.dump_state(state))
         return 0
     if kind == "state-dump" and len(words) == 2:
         space, state = resolve_state_expr(words[1], cache)
-        out.write(space.dump_state(state))
+        sys.stdout.write(space.dump_state(state))
         return 0
     raise ValueError(
         "expected one of: lattice <name> | shell <name> <norm> | "
         "axis <i> <j> | state-dump <expr>")
 
 
-def cmd_cache(cfg: Config, action: str, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_cache(cfg: Config, action: str) -> int:
     cache = DiskCache(cfg.cache_dir)
     if action == "status":
         lines = cache.status()
         if not lines:
-            out.write("cache empty\n")
+            sys.stdout.write("cache empty\n")
         for line in lines:
-            out.write(line + "\n")
+            sys.stdout.write(line + "\n")
         return 0
     if action == "clear":
         removed = cache.clear()
-        out.write(f"removed {removed} cached files\n")
+        sys.stdout.write(f"removed {removed} cached files\n")
         return 0
     if action == "build":
         family = build_axis_family(cache=cache)
@@ -250,7 +244,7 @@ def cmd_cache(cfg: Config, action: str, out=None) -> int:
         shell(direct_sum([e8] * 3, "E8^3"), 2, cache)
         coset_decomposition_A26(cache)
         for line in cache.status():
-            out.write(line + "\n")
+            sys.stdout.write(line + "\n")
         return 0
     raise ValueError("expected one of: build, clear, status")
 

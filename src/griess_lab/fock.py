@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cocycle import CocycleTable, build_epsilon0
+from .cocycle import build_epsilon0
 from .lattice import (
     DiskCache,
     EmbeddingMaps,
@@ -58,7 +58,7 @@ from .lattice import (
     shell,
     sublattice_K,
 )
-from .numerics import Eisenstein, Matrix, ONE, Q, ZERO, ZETA, dot
+from .numerics import Eisenstein, ONE, Q, ZERO, ZETA, dot
 
 Osc = Tuple[Tuple[int, int], ...]      # sorted ((mode >= 1, frame index), ...)
 Gamma = Tuple[int, ...]                # doubled exponent coordinates
@@ -232,12 +232,10 @@ class _Accumulator:
 class FockSpace:
     """Weight <= 2 Fock sector of an even lattice with a fixed cocycle."""
 
-    def __init__(self, lattice: Lattice, cocycle: Optional[CocycleTable] = None) -> None:
+    def __init__(self, lattice: Lattice) -> None:
         self.lattice = lattice
         self.dim = lattice.ambient_dim
-        self.cocycle = cocycle if cocycle is not None else build_epsilon0(lattice)
-        if self.cocycle.lattice is not lattice:
-            raise ValueError("cocycle table belongs to a different lattice")
+        self.cocycle = build_epsilon0(lattice)
         # exponent memo: _masks maps an exponent to its row k; row k of
         # _exp_coords holds its doubled coordinates, and row k of _exp_masks
         # its 0/1 column mask (lattice coordinates mod 2) followed by its 0/1
@@ -256,11 +254,19 @@ class FockSpace:
         return FockState({((), self._zero): ONE})
 
     def exp_state(self, gamma: Sequence, coeff=1) -> FockState:
-        g2 = scaled_ints(gamma, 2)
-        self._exp_rows([g2])  # membership check
-        if _wt8(((), g2)) > 16:
+        return self._exp_sum([gamma], coeff)
+
+    def _exp_sum(self, gammas: Sequence[Sequence], coeff) -> FockState:
+        """The sum of coeff e^gamma over gammas; a repeated exponent adds."""
+        g2s = [scaled_ints(g, 2) for g in gammas]
+        self._exp_rows(g2s)  # membership check
+        if any(_wt8(((), g2)) > 16 for g2 in g2s):
             raise WeightOverflowError("exponent norm exceeds the weight cap")
-        return FockState({((), g2): _as_eis(coeff)})
+        c = _as_eis(coeff)
+        terms: Dict[Monomial, Eisenstein] = {}
+        for g2 in g2s:
+            terms[((), g2)] = terms.get(((), g2), ZERO) + c
+        return FockState(terms)
 
     def oscillator_state(self, factors: Sequence[Tuple[Sequence, int]], coeff=1,
                          gamma: Optional[Sequence] = None) -> FockState:
@@ -286,10 +292,11 @@ class FockSpace:
             rank = self.lattice.rank
             cols = []
             for g2 in new:
-                coords = self.lattice.coords(tuple(Q(x, 2) for x in g2))
-                if coords is None or any(c.denominator != 1 for c in coords):
+                # the coordinates of gamma = g2 / 2 are raw / 2d
+                got = self.lattice._solve(g2)
+                if got is None or any(x % (2 * got[1]) for x in got[0]):
                     raise ValueError("exponent is not a lattice vector")
-                cols.append([int(c) % 2 for c in coords])
+                cols.append([x // (2 * got[1]) % 2 for x in got[0]])
             col = np.array(cols, dtype=np.int64).reshape(len(new), rank)
             size, end = len(memo), len(memo) + len(new)
             if end > len(self._exp_coords):
@@ -616,28 +623,19 @@ class FockSpace:
 
     # -- standard states -------------------------------------------------------
 
-    def virasoro_of_subspace(self, S) -> FockState:
-        basis = S.basis if isinstance(S, Lattice) else [tuple(Fraction(x) for x in v) for v in S]
-        g = Matrix([[dot(u, v) for v in basis] for u in basis])
-        ginv = g.inverse()
-        r, d = len(basis), self.dim
-        proj = [[Q(0)] * d for _ in range(d)]
-        for i in range(r):
-            for j in range(r):
-                w = ginv.rows[i][j]
-                if not w:
-                    continue
-                bi, bj = basis[i], basis[j]
-                for k in range(d):
-                    if bi[k]:
-                        for l in range(d):
-                            if bj[l]:
-                                proj[k][l] += w * bi[k] * bj[l]
+    def virasoro_of_subspace(self, S: Lattice) -> FockState:
+        """(1/2) sum_kl P[k][l] eps_k(-1) eps_l(-1) 1 for the projector
+        P = B^T G^{-1} B onto the span of S, read off S's coordinate solver:
+        P = num / den times (lb * B) / lb."""
+        num, den = S._coord_solver
+        lb, rows = S._int_basis
+        cols = list(zip(*rows))
         terms: Dict[Monomial, Eisenstein] = {}
-        for k in range(d):
-            for l in range(k, d):
-                w = proj[k][l] if k != l else proj[k][k] / 2
-                if w:
+        for k in range(self.dim):
+            for l in range(k, self.dim):
+                p = sum(map(operator.mul, num[k], cols[l]))
+                if p:
+                    w = Fraction(p, den * lb * (2 if k == l else 1))
                     terms[(((1, k), (1, l)), self._zero)] = Eisenstein(w)
         return FockState(terms)
 
@@ -648,10 +646,8 @@ class FockSpace:
         if len(quartic.vectors) != 240:
             raise ValueError(
                 f"{S.label} has {len(quartic.vectors)} norm-4 vectors, expected 240")
-        s = self.virasoro_of_subspace(S).scale(Q(1, 16))
-        for v in quartic.vectors:
-            s = s + self.exp_state(v, Q(1, 32))
-        return s
+        return (self.virasoro_of_subspace(S).scale(Q(1, 16))
+                + self._exp_sum(quartic.vectors, Q(1, 32)))
 
     # -- automorphisms ---------------------------------------------------------
 
@@ -765,10 +761,7 @@ def build_axis_family(a: Optional[Sequence] = None,
 
 
 def _root_current(space: FockSpace, alpha: Sequence) -> FockState:
-    s = FockState()
-    for slot in range(3):
-        s = s + space.exp_state(block_embed(alpha, slot, 3))
-    return s
+    return space._exp_sum([block_embed(alpha, slot, 3) for slot in range(3)], 1)
 
 
 def sugawara_omega(family: AxisFamily, cache: Optional[DiskCache] = None) -> FockState:
@@ -790,13 +783,12 @@ def sugawara_expressions(family: AxisFamily,
     omega = sugawara_omega(family, cache)
 
     mplusn = lattice_sum(family.M, family.N, "M+N")
-    alt1 = space.virasoro_of_subspace(family.E) \
-        + space.virasoro_of_subspace(mplusn).scale(Q(3, 4))
-    for alpha in shell(family.K, 2, cache).vectors:
-        for i, j in ((0, 1), (1, 2), (0, 2)):
-            delta = tuple(x - y for x, y in zip(
-                block_embed(alpha, i, 3), block_embed(alpha, j, 3)))
-            alt1 = alt1 + space.exp_state(delta, Q(-1, 12))
+    deltas = [tuple(x - y for x, y in zip(block_embed(alpha, i, 3), block_embed(alpha, j, 3)))
+              for alpha in shell(family.K, 2, cache).vectors
+              for i, j in ((0, 1), (1, 2), (0, 2))]
+    alt1 = (space.virasoro_of_subspace(family.E)
+            + space.virasoro_of_subspace(mplusn).scale(Q(3, 4))
+            + space._exp_sum(deltas, Q(-1, 12)))
 
     alt2 = space.virasoro_of_subspace(family.L)
     for row in family.axes:
@@ -869,11 +861,8 @@ def parafermion_omega(alpha: Sequence, level: int,
         raise ValueError("space does not match the requested level")
     maps = EmbeddingMaps(k - 1, 2)
     h = maps.mu(alpha)
-    x_plus = FockState()
-    x_minus = FockState()
-    for j in range(k):
-        x_plus = x_plus + space.exp_state(maps.iota(j, alpha))
-        x_minus = x_minus - space.exp_state(maps.iota(j, tuple(-x for x in alpha)))
+    x_plus = space._exp_sum([maps.iota(j, alpha) for j in range(k)], 1)
+    x_minus = space._exp_sum([maps.iota(j, tuple(-x for x in alpha)) for j in range(k)], -1)
     # x+(-1)x- = x-(-1)x+ + h(-2)1 for this triple, so the symmetric
     # Sugawara combination leaves -k h(-2) alongside 2k x+(-1)x-.
     omega = (

@@ -174,14 +174,16 @@ class Matrix:
     """A dense matrix over Fraction or Eisenstein entries.
 
     The entry type only needs field arithmetic and comparison with 0;
-    Fraction and Eisenstein both qualify.  Instances are treated as
+    Fraction and Eisenstein both qualify, and int entries are stored as
+    Fractions so that division stays exact.  Instances are treated as
     immutable once constructed.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Rows) -> None:
-        self.rows: Tuple[Tuple[Scalar, ...], ...] = tuple(tuple(r) for r in rows)
+        self.rows: Tuple[Tuple[Scalar, ...], ...] = tuple(
+            tuple(Fraction(x) if isinstance(x, int) else x for x in r) for r in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for r in self.rows:
@@ -189,8 +191,8 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def identity(cls, n: int, one: Scalar = Q(1), zero: Scalar = Q(0)) -> "Matrix":
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(cls, n: int) -> "Matrix":
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Matrix):

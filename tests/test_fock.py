@@ -17,8 +17,8 @@ from griess_lab.fock import (
     sugawara_omega,
 )
 from griess_lab.lattice import (
-    EmbeddingMaps, block_embed, build_standard, lattice_sum, shell)
-from griess_lab.numerics import Eisenstein, ONE, Q, ZERO, ZETA
+    EmbeddingMaps, Lattice, block_embed, build_standard, lattice_sum, shell)
+from griess_lab.numerics import Eisenstein, Matrix, ONE, Q, ZERO, ZETA
 
 
 def osc(space, h, n=1, coeff=1):
@@ -671,8 +671,19 @@ class TestVirasoroOfSubspace:
     def test_degenerate_subspace_rejected(self, family):
         sp = family.space
         v = family.M.basis[0]
-        with pytest.raises(Exception):
-            sp.virasoro_of_subspace([v, v])
+        with pytest.raises(ValueError):
+            sp.virasoro_of_subspace(Lattice("MM", [v, v]))
+
+    def test_matches_fraction_projector(self, family):
+        a2, e8 = build_standard("A", 2), build_standard("E8")
+        for sp, S in ((FockSpace(a2), a2), (FockSpace(e8), e8),
+                      (family.space, family.M), (family.space, family.E)):
+            # (1/2) sum_kl P[k][l] eps_k(-1) eps_l(-1) with P = B^T G^-1 B
+            B = Matrix(S.basis)
+            P = B.transpose().matmul(S.gram.inverse()).matmul(B).rows
+            want = FockState({(((1, k), (1, l)), (0,) * sp.dim): P[k][l] / (2 if k == l else 1)
+                              for k in range(sp.dim) for l in range(k, sp.dim)})
+            assert sp.virasoro_of_subspace(S) == want
 
 
 class TestIsingConstructor:
@@ -689,6 +700,30 @@ class TestIsingConstructor:
     def test_rejects_lattices_with_roots(self, family):
         with pytest.raises(ValueError):
             family.space.ising_of_sqrt2E8(family.L)
+
+    def test_matches_term_by_term_sum(self, family, cache):
+        sp = family.space
+        want = sp.virasoro_of_subspace(family.M).scale(Q(1, 16))
+        for v in shell(family.M, 4, cache).vectors:
+            want = want + sp.exp_state(v, Q(1, 32))
+        assert sp.ising_of_sqrt2E8(family.M, cache) == want
+
+
+class TestExpSum:
+    def test_repeated_exponent_adds(self):
+        sp = FockSpace(build_standard("A", 2))
+        root, other = (1, -1, 0), (0, 1, -1)
+        got = sp._exp_sum([root, other, root], Q(1, 3))
+        assert got == sp.exp_state(root, Q(2, 3)) + sp.exp_state(other, Q(1, 3))
+
+    def test_rejects_off_lattice_and_heavy_exponents(self):
+        sp = FockSpace(build_standard("A", 2))
+        with pytest.raises(ValueError, match="not a lattice vector"):
+            sp._exp_sum([(1, -1, 0), (Q(1, 2), Q(-1, 2), 0)], 1)
+        with pytest.raises(ValueError, match="not a lattice vector"):
+            sp._exp_sum([(1, 0, 0)], 1)
+        with pytest.raises(WeightOverflowError):
+            sp._exp_sum([(1, -1, 0), (1, 1, -2)], 1)
 
 
 class TestRhoAndTheta:

@@ -104,3 +104,80 @@ def test_every_public_def_has_a_caller():
     readme = (ROOT / "README.md").read_text()
     others += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
     assert uncalled_defs(modules, others) == []
+
+
+def _defaulted_params(tree):
+    """(def name, parameter, index) for each defaulted parameter of each
+    public top-level def or method.  A class's __init__ goes under the
+    class name; index is the parameter's place among the positional
+    arguments a call passes (self and cls left out), None when it is
+    keyword-only."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in members:
+            if not isinstance(d, ast.FunctionDef):
+                continue
+            name = node.name if d.name == "__init__" else d.name
+            if name.startswith("_"):
+                continue
+            a = d.args
+            positional = a.posonlyargs + a.args
+            if d is not node and not any(getattr(x, "id", None) == "staticmethod"
+                                         for x in d.decorator_list):
+                positional = positional[1:]
+            first = len(positional) - len(a.defaults)
+            for i, p in enumerate(positional[first:], first):
+                yield name, p.arg, i
+            for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield name, p.arg, None
+
+
+def _passes(call, param, index):
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(x, ast.Starred) for x in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unpassed_defaults(modules, others):
+    """(module, def name, parameter) of each defaulted parameter of a public
+    def in `modules` (name -> source) that no call in the modules or in the
+    trees `others` passes, by position or by keyword."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    calls = collections.defaultdict(list)
+    for tree in list(trees.values()) + list(others):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls[getattr(f, "id", None) or getattr(f, "attr", None)].append(node)
+    return sorted((module, name, param)
+                  for module, tree in trees.items()
+                  for name, param, index in _defaulted_params(tree)
+                  if not any(_passes(c, param, index) for c in calls[name]))
+
+
+def test_scanner_flags_an_unpassed_default():
+    modules = {"a": "def f(x, y=1, *, z=2):\n    return x\n\n\n"
+                    "def g(p=1):\n    return p\n\n\n"
+                    "def _h(p=1):\n    return p\n\n\n"
+                    "class C:\n"
+                    "    def __init__(self, k=0):\n        self.k = k\n\n"
+                    "    def m(self, p=1, q=2):\n        return f(1, z=3)\n\n"
+                    "    @staticmethod\n"
+                    "    def s(p=1):\n        return p\n"}
+    calls = ast.parse("C(5).m(1)\ng(**{})\nC.s(2)\n")
+    assert unpassed_defaults(modules, [calls]) == [("a", "f", "y"), ("a", "m", "q")]
+    assert unpassed_defaults(modules, []) == [
+        ("a", "C", "k"), ("a", "f", "y"), ("a", "g", "p"),
+        ("a", "m", "p"), ("a", "m", "q"), ("a", "s", "p")]
+
+
+def test_every_defaulted_parameter_is_passed():
+    modules = {p.name: p.read_text() for p in MODULES}
+    others = [ast.parse(p.read_text())
+              for d in ("tests", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    others += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    assert unpassed_defaults(modules, others) == []

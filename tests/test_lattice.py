@@ -141,7 +141,7 @@ class TestConstructions:
 
     def test_zn(self):
         z3 = build_standard("Z", 3)
-        assert z3.det == 1 and z3.gram.rows == Matrix.identity(3, Q(1), Q(0)).rows
+        assert z3.det == 1 and z3.gram.rows == Matrix.identity(3).rows
 
     def test_direct_sum_and_tensor_dets(self):
         rng = random.Random(5)

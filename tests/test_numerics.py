@@ -96,8 +96,18 @@ class TestMatrix:
         x = m.solve((Q(3), Q(2)))
         assert x == (Q(1), Q(1))
         inv = m.inverse()
-        assert m.matmul(inv).rows == Matrix.identity(2, Q(1), Q(0)).rows
+        assert m.matmul(inv).rows == Matrix.identity(2).rows
         assert m.det() == 1
+
+    def test_int_entries_stay_exact(self):
+        m = Matrix([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+        assert all(type(x) is Fraction for r in m.rows for x in r)
+        d = m.det()
+        assert d == 20 and type(d) is Fraction
+        x = Matrix([[7, 3], [3, 5]]).solve((1, 2))
+        assert x == (Q(-1, 26), Q(11, 26)) and all(type(c) is Fraction for c in x)
+        assert Matrix([[2, 1], [1, 1]]).inverse().rows == ((1, -1), (-1, 2))
+        assert Matrix([[ZETA, 1]]).rows[0][0] is ZETA
 
     def test_solve_inconsistent(self):
         m = Matrix([[Q(1), Q(1)], [Q(2), Q(2)]])

@@ -12,11 +12,11 @@ Heisenberg modes, the modes of exponential states via the closed
 double-exponential expansion, the Griess product a.b = a_1 b, and the
 weight-2 pairing <a,b>1 = a_3 b, all exactly.
 
-Inside a mode application every coefficient is an Eisenstein integer
-re + zc*zeta: each operand is scaled by the common denominator of its
-coefficients on entry, the kernel adds plain ints over one denominator
-fixed per call, and Fraction/Eisenstein coefficients are rebuilt once per
-output term on exit.
+A state stores its coefficients once, as Eisenstein-integer numerators
+re + zc*zeta over one reduced positive denominator.  Sums, scalings,
+twists and modes work on those integers, and the mode kernel hands its
+sums to the result as they are; Fraction/Eisenstein values appear only in
+the terms view of a state and in the value of the invariant form.
 
 The mode conventions are the usual ones: [h(m), h'(n)] = m<h,h'>
 delta_{m+n,0}, h(0)e^gamma = <h,gamma> e^gamma, and
@@ -31,13 +31,15 @@ wt(a) + wt(b) - n - 1; anything that would exceed weight 2 raises.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .lattice import (
     DiskCache,
     EmbeddingMaps,
     Lattice,
+    _common_scale,
     annihilator,
     block_embed,
     build_standard,
@@ -58,14 +61,13 @@ from .lattice import (
     shell,
     sublattice_K,
 )
-from .numerics import Eisenstein, ONE, Q, ZERO, ZETA, dot
+from .numerics import Eisenstein, Q, ZETA, dot
 
 Osc = Tuple[Tuple[int, int], ...]      # sorted ((mode >= 1, frame index), ...)
 Gamma = Tuple[int, ...]                # doubled exponent coordinates
 Monomial = Tuple[Osc, Gamma]
-Num = Tuple[Monomial, int, int]        # (monomial, re, zc): numerator re + zc*zeta
-
-_F0 = Fraction(0)
+Pair = Tuple[int, int]                 # (re, zc): the numerator re + zc*zeta
+Num = Tuple[Monomial, Pair]
 
 
 class WeightOverflowError(ValueError):
@@ -79,8 +81,11 @@ def _wt8(mono: Monomial) -> int:
     return 8 * sum(n for n, _ in osc) + sum(map(operator.mul, g2, g2))
 
 
-def _as_eis(c) -> Eisenstein:
-    return c if isinstance(c, Eisenstein) else Eisenstein(Fraction(c))
+def _int_parts(c) -> Tuple[List[int], int]:
+    """A scalar c (int, Fraction or Eisenstein) as ([re, zc], den) with
+    c = (re + zc*zeta) / den and den >= 1 least."""
+    c = c if isinstance(c, Eisenstein) else Eisenstein(Fraction(c))
+    return _common_scale((c.re, c.zc))
 
 
 @functools.lru_cache(maxsize=256)
@@ -132,51 +137,75 @@ def _int_dtype(bound: int):
 
 
 class FockState:
-    """Sparse exact linear combination of Fock monomials."""
+    """Sparse exact linear combination of Fock monomials: numerators
+    re + zc*zeta over one positive denominator, the gcd of the denominator
+    and all numerators being 1."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_den", "_nums", "_terms")
 
-    def __init__(self, terms: Optional[Dict[Monomial, Eisenstein]] = None) -> None:
-        self.terms: Dict[Monomial, Eisenstein] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _as_eis(c)
-                if c:
-                    self.terms[mono] = c
+    def __init__(self, terms: Optional[Mapping[Monomial, object]] = None) -> None:
+        parts = [(mono, *_int_parts(c)) for mono, c in terms.items()] if terms else []
+        # the least common denominator leaves the numerators reduced
+        den = math.lcm(*(d for _, _, d in parts))
+        self._den, self._terms = den, None
+        self._nums: Dict[Monomial, Pair] = {
+            mono: (r * (den // d), z * (den // d)) for mono, (r, z), d in parts if r or z}
+
+    @classmethod
+    def _of(cls, den: int, nums: Dict[Monomial, Pair]) -> "FockState":
+        """The state sum nums[mono] / den, reduced; nums holds no zero pair."""
+        g = math.gcd(den, *itertools.chain.from_iterable(nums.values())) if den > 1 else 1
+        if g > 1:
+            den //= g
+            nums = {mono: (r // g, z // g) for mono, (r, z) in nums.items()}
+        out = cls.__new__(cls)
+        out._den, out._nums, out._terms = den, nums, None
+        return out
+
+    @property
+    def terms(self) -> Mapping[Monomial, Eisenstein]:
+        """The coefficients as a read-only {monomial: Eisenstein} mapping."""
+        if self._terms is None:
+            den = self._den
+            self._terms = {mono: Eisenstein(Fraction(r, den), Fraction(z, den))
+                           for mono, (r, z) in self._nums.items()}
+        return MappingProxyType(self._terms)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FockState) and self.terms == other.terms
+        return (isinstance(other, FockState) and self._den == other._den
+                and self._nums == other._nums)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._nums)
 
     def __add__(self, other: "FockState") -> "FockState":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return FockState(out) if out else FockState()
+        den = math.lcm(self._den, other._den)
+        out = _Accumulator()
+        for s in (self, other):
+            f = den // s._den
+            for mono, (r, z) in s._nums.items():
+                out.add(mono, r * f, z * f)
+        return out.state(den)
 
     def __sub__(self, other: "FockState") -> "FockState":
         return self + other.scale(-1)
 
     def scale(self, c) -> "FockState":
-        c = _as_eis(c)
-        if not c:
+        (cr, cz), cd = _int_parts(c)
+        if not (cr or cz):
             return FockState()
-        return FockState({m: v * c for m, v in self.terms.items()})
+        return FockState._of(self._den * cd, {
+            mono: (r * cr - z * cz, r * cz + z * cr - z * cz)
+            for mono, (r, z) in self._nums.items()})
 
     def weight(self) -> Fraction:
-        ws = {_wt8(m) for m in self.terms}
+        ws = {_wt8(m) for m in self._nums}
         if not ws:
             raise ValueError("the zero state has no weight")
         if len(ws) > 1:
@@ -185,48 +214,29 @@ class FockState:
         return Q(ws.pop(), 8)
 
     def exponents(self) -> List[Gamma]:
-        return sorted({g2 for _, g2 in self.terms})
-
-
-def _numerators(s: FockState) -> Tuple[int, List[Num]]:
-    """The terms of s as Eisenstein-integer numerators over the least
-    common denominator of its coefficients."""
-    den = math.lcm(*(x.denominator for c in s.terms.values() for x in (c.re, c.zc)))
-    return den, [(mono, c.re.numerator * (den // c.re.denominator),
-                  c.zc.numerator * (den // c.zc.denominator))
-                 for mono, c in s.terms.items()]
+        return sorted({g2 for _, g2 in self._nums})
 
 
 class _Accumulator:
     """A sum of terms as Eisenstein-integer numerators re + zc*zeta over
     one denominator that the caller fixes."""
 
-    __slots__ = ("re", "zc")
+    __slots__ = ("sums",)
 
     def __init__(self) -> None:
-        self.re: Dict[Monomial, int] = {}
-        self.zc: Dict[Monomial, int] = {}
+        self.sums: Dict[Monomial, Pair] = {}
 
     def add(self, mono: Monomial, re: int, zc: int) -> None:
-        if re:
-            self.re[mono] = self.re.get(mono, 0) + re
-        if zc:
-            self.zc[mono] = self.zc.get(mono, 0) + zc
+        got = self.sums.get(mono)
+        self.sums[mono] = (got[0] + re, got[1] + zc) if got else (re, zc)
 
     def terms(self) -> List[Num]:
         """The nonzero terms."""
-        re, zc = self.re, self.zc
-        out = [(m, r, zc.get(m, 0)) for m, r in re.items() if r or zc.get(m, 0)]
-        out.extend((m, 0, z) for m, z in zc.items() if z and m not in re)
-        return out
+        return [t for t in self.sums.items() if t[1] != (0, 0)]
 
     def state(self, den: int) -> FockState:
         """The sum with every numerator divided by den."""
-        out = FockState()
-        out.terms = {m: Eisenstein(Fraction(r, den) if r else _F0,
-                                   Fraction(z, den) if z else _F0)
-                     for m, r, z in self.terms()}
-        return out
+        return FockState._of(den, dict(self.terms()))
 
 
 class FockSpace:
@@ -251,7 +261,7 @@ class FockSpace:
     # -- state constructors ------------------------------------------------
 
     def vacuum(self) -> FockState:
-        return FockState({((), self._zero): ONE})
+        return FockState._of(1, {((), self._zero): (1, 0)})
 
     def exp_state(self, gamma: Sequence, coeff=1) -> FockState:
         return self._exp_sum([gamma], coeff)
@@ -262,17 +272,14 @@ class FockSpace:
         self._exp_rows(g2s)  # membership check
         if any(_wt8(((), g2)) > 16 for g2 in g2s):
             raise WeightOverflowError("exponent norm exceeds the weight cap")
-        c = _as_eis(coeff)
-        terms: Dict[Monomial, Eisenstein] = {}
-        for g2 in g2s:
-            terms[((), g2)] = terms.get(((), g2), ZERO) + c
-        return FockState(terms)
+        counts = collections.Counter(g2s)
+        return FockState._of(1, {((), g2): (k, 0) for g2, k in counts.items()}).scale(coeff)
 
     def oscillator_state(self, factors: Sequence[Tuple[Sequence, int]], coeff=1,
                          gamma: Optional[Sequence] = None) -> FockState:
         """Product of creation operators h(-n), applied left to right to e^gamma."""
         s = self.exp_state(gamma, coeff) if gamma is not None else FockState(
-            {((), self._zero): _as_eis(coeff)})
+            {((), self._zero): coeff})
         for h, n in reversed(list(factors)):
             if n <= 0:
                 raise ValueError("creation factors need n >= 1")
@@ -333,10 +340,11 @@ class FockSpace:
 
         Only h(0) halves: its eigenvalue on e^gamma is h . gamma2 / 2.
         """
-        for mono, br, bz in terms:
+        dense = [h.get(k, 0) for k in range(max(h, default=-1) + 1)]
+        for mono, (br, bz) in terms:
             osc, g2 = mono
             if m == 0:
-                v = sum(x * g2[k] for k, x in h.items())
+                v = sum(map(operator.mul, dense, g2))
                 landed = [(mono, v << (shift - 1))] if v else []
             elif m > 0:
                 landed = [((osc[:i] + osc[i + 1:], g2), (m * h[k]) << shift)
@@ -370,8 +378,9 @@ class FockSpace:
         """
         if not a_exp or not b:
             return
-        ia = self._exp_rows([g2 for (_, g2), _, _ in a_exp])
-        oscs, gammas = zip(*(mono for mono, _, _ in b))
+        ia = self._exp_rows([g2 for (_, g2), _ in a_exp])
+        monos, pairs = zip(*b)
+        oscs, gammas = zip(*monos)
         ib = self._exp_rows(gammas)
         A, B = self._exp_coords[ia], self._exp_coords[ib]
         S = A @ B.T
@@ -415,15 +424,15 @@ class FockSpace:
         sign = self._signs(ia[rows], ib[cols])
         # only the monomials of b that some pair reaches are read from here on
         used, cu = np.unique(cols, return_inverse=True)
-        b = [b[j] for j in used.tolist()]
+        b_pairs = [pairs[j] for j in used.tolist()]
 
         # int64 unless a bound on every product and sum below could overflow it
-        ca = max(abs(r) + abs(z) for _, r, z in a_exp)
-        cb = max(abs(r) + abs(z) for _, r, z in b)
+        ca = max(abs(r) + abs(z) for _, (r, z) in a_exp)
+        cb = max(abs(r) + abs(z) for r, z in b_pairs)
         bmax = max(int(np.abs(A).max()), 1)
         dtype = _int_dtype(ca * cb * bmax ** (dirs.shape[1] + 2) * (2 << shift) * pair.size)
-        ar, az = (np.array([t[k] for t in a_exp], dtype=dtype)[rows] for k in (1, 2))
-        br, bz = (np.array([t[k] for t in b], dtype=dtype)[cu] for k in (1, 2))
+        ar, az = np.array([p for _, p in a_exp], dtype=dtype)[rows].T
+        br, bz = np.array(b_pairs, dtype=dtype)[cu].T
         scale = np.left_shift(f.astype(dtype), room.astype(dtype))
         w_re = (sign * (ar * br - az * bz))[pair] * scale
         w_zc = (sign * (ar * bz + az * br - az * bz))[pair] * scale
@@ -512,20 +521,16 @@ class FockSpace:
             else:
                 self._heisenberg(inner, ek, m, b, 1, 0, 1)
                 outer, m_outer = el, n - 1 - m
-            terms = inner.terms()
-            if terms:
-                self._heisenberg(out, outer, m_outer, terms, cr, cz, shift - 1)
+            self._heisenberg(out, outer, m_outer, inner.terms(), cr, cz, shift - 1)
 
     def _mixed_mode(self, out: _Accumulator, k: int, g2: Gamma, n: int,
                     b: List[Num], cr: int, cz: int, shift: int) -> None:
         # (eps_k(-1)e^gamma)_n by the same normal-ordered splitting
-        ek, e_gamma = {k: 1}, [(((), g2), cr, cz)]
+        ek, e_gamma = {k: 1}, [(((), g2), (cr, cz))]
         for m in range(-2, 0):
             inner = _Accumulator()
             self._exp_modes(inner, e_gamma, n - 1 - m, b, shift - 1)
-            terms = inner.terms()
-            if terms:
-                self._heisenberg(out, ek, m, terms, 1, 0, 1)
+            self._heisenberg(out, ek, m, inner.terms(), 1, 0, 1)
         for m in range(0, 3):
             inner = _Accumulator()
             self._heisenberg(inner, ek, m, b, 1, 0, 1)
@@ -534,40 +539,38 @@ class FockSpace:
     # -- public modes ----------------------------------------------------------
 
     def heisenberg_mode(self, h: Sequence, m: int, s: FockState) -> FockState:
-        hq = tuple(Fraction(x) for x in h)
-        if len(hq) != self.dim:
+        hn, dh = _common_scale(h)
+        if len(hn) != self.dim:
             raise ValueError("direction has wrong ambient dimension")
-        dh = math.lcm(*(x.denominator for x in hq))
-        direction = {k: x.numerator * (dh // x.denominator)
-                     for k, x in enumerate(hq) if x}
-        den, terms = _numerators(s)
+        direction = {k: x for k, x in enumerate(hn) if x}
         out = _Accumulator()
-        self._heisenberg(out, direction, m, terms, 1, 0, 1)
-        return out.state(den * dh * 2)
+        self._heisenberg(out, direction, m, s._nums.items(), 1, 0, 1)
+        return out.state(s._den * dh * 2)
 
     def exp_mode(self, beta: Sequence, n: int, s: FockState) -> FockState:
         beta2 = scaled_ints(beta, 2)
         self._exp_rows([beta2])
-        den, terms = _numerators(s)
-        shift = max((len(osc) for (osc, _), _, _ in terms), default=0) + 3
+        # (oscillators of b) + 3 halvings, and a monomial of weight <= 2 has
+        # at most two oscillators
+        shift = 2 + 3
         out = _Accumulator()
-        self._exp_modes(out, [(((), beta2), 1, 0)], n, terms, shift)
-        return out.state(den << shift)
+        self._exp_modes(out, [(((), beta2), (1, 0))], n, list(s._nums.items()), shift)
+        return out.state(s._den << shift)
 
     def apply_mode(self, a: FockState, n: int, b: FockState) -> FockState:
-        da, a_terms = _numerators(a)
-        db, b_terms = _numerators(b)
-        # exponential modes halve at most (oscillators of b) + 3 times, and
-        # the eps_k(-1)e^gamma and quadratic states add one h(0) eigenvalue
-        shift = max((len(osc) for (osc, _), _, _ in b_terms), default=0) + 4
+        b_terms = list(b._nums.items())
+        # exponential modes halve at most (oscillators of b) + 3 times, a
+        # monomial of weight <= 2 has at most two oscillators, and the
+        # eps_k(-1)e^gamma and quadratic states add one h(0) eigenvalue
+        shift = 2 + 4
         out = _Accumulator()
         a_exp: List[Num] = []
-        for term in a_terms:
-            (osc, g2), cr, cz = term
+        for term in a._nums.items():
+            (osc, g2), (cr, cz) = term
             is_exp = any(g2)
             if not osc and not is_exp:
                 if n == -1:
-                    for m2, br, bz in b_terms:
+                    for m2, (br, bz) in b_terms:
                         out.add(m2, (cr * br - cz * bz) << shift,
                                 (cr * bz + cz * br - cz * bz) << shift)
                 continue
@@ -590,7 +593,7 @@ class FockSpace:
             else:
                 raise NotImplementedError("left state exceeds weight 2")
         self._exp_modes(out, a_exp, n, b_terms, shift)
-        return out.state(da * db << shift)
+        return out.state(a._den * b._den << shift)
 
     # -- Griess product and pairing -------------------------------------------
 
@@ -602,12 +605,10 @@ class FockSpace:
     def invariant_form(self, a: FockState, b: FockState) -> Eisenstein:
         if a.weight() != 2 or b.weight() != 2:
             raise ValueError("the weight-2 pairing needs homogeneous weight-2 states")
-        da, a_terms = _numerators(a)
-        db, b_terms = _numerators(b)
         by_gamma: Dict[Gamma, List[Tuple[Osc, int, int]]] = {}
-        for (osc, g2), br, bz in b_terms:
+        for (osc, g2), (br, bz) in b._nums.items():
             by_gamma.setdefault(g2, []).append((osc, br, bz))
-        paired = [(osc_a, g2, neg, ar, az) for (osc_a, g2), ar, az in a_terms
+        paired = [(osc_a, g2, neg, ar, az) for (osc_a, g2), (ar, az) in a._nums.items()
                   for neg in [tuple(map(operator.neg, g2))] if neg in by_gamma]
         signs = self._signs(self._exp_rows([t[1] for t in paired]),
                             self._exp_rows([t[2] for t in paired])).tolist()
@@ -618,7 +619,7 @@ class FockSpace:
                 if val:
                     re += (ar * br - az * bz) * val
                     zc += (ar * bz + az * br - az * bz) * val
-        den = 4 * da * db
+        den = 4 * a._den * b._den
         return Eisenstein(Fraction(re, den), Fraction(zc, den))
 
     # -- standard states -------------------------------------------------------
@@ -630,14 +631,14 @@ class FockSpace:
         num, den = S._coord_solver
         lb, rows = S._int_basis
         cols = list(zip(*rows))
-        terms: Dict[Monomial, Eisenstein] = {}
+        # over 2 den lb, the coefficient of k < l counts P[k][l] and P[l][k]
+        nums: Dict[Monomial, Pair] = {}
         for k in range(self.dim):
             for l in range(k, self.dim):
                 p = sum(map(operator.mul, num[k], cols[l]))
                 if p:
-                    w = Fraction(p, den * lb * (2 if k == l else 1))
-                    terms[(((1, k), (1, l)), self._zero)] = Eisenstein(w)
-        return FockState(terms)
+                    nums[(((1, k), (1, l)), self._zero)] = (p if k == l else 2 * p, 0)
+        return FockState._of(2 * den * lb, nums)
 
     def ising_of_sqrt2E8(self, S: Lattice, cache: Optional[DiskCache] = None) -> FockState:
         if shell(S, 2, cache).vectors:
@@ -656,30 +657,29 @@ class FockSpace:
             raise ValueError("twist vector must live in one block of a triple sum")
         a2 = scaled_ints(a, 2)
         tilde = tuple(a2) + tuple(-x for x in a2) + (0,) * len(a2)
-        out: Dict[Monomial, Eisenstein] = {}
-        for (osc, g2), c in s.terms.items():
-            t = sum(x * y for x, y in zip(tilde, g2))
+        out: Dict[Monomial, Pair] = {}
+        for mono, (r, z) in s._nums.items():
+            t = sum(map(operator.mul, tilde, mono[1]))
             if t % 4:
                 raise ValueError("non-integral twist pairing")
+            # zeta (r + z zeta) = -z + (r - z) zeta, and zeta^2 (r + z zeta) =
+            # (z - r) - r zeta
             e = (k * (t // 4)) % 3
-            out[(osc, g2)] = c * ZETA ** e if e else c
-        return FockState(out)
+            out[mono] = (r, z) if e == 0 else (-z, r - z) if e == 1 else (z - r, -r)
+        return FockState._of(s._den, out)
 
     def theta(self, s: FockState) -> FockState:
-        out: Dict[Monomial, Eisenstein] = {}
-        for (osc, g2), c in s.terms.items():
+        out: Dict[Monomial, Pair] = {}
+        for (osc, g2), (r, z) in s._nums.items():
             neg = tuple(-x for x in g2)
-            out[(osc, neg)] = c if len(osc) % 2 == 0 else -c
-        return FockState(out)
+            out[(osc, neg)] = (r, z) if len(osc) % 2 == 0 else (-r, -z)
+        return FockState._of(s._den, out)
 
     def translate(self, s: FockState) -> FockState:
         """L(-1) on weight <= 1 states."""
-        out: Dict[Monomial, Eisenstein] = {}
-
-        def add(mono: Monomial, c: Eisenstein) -> None:
-            out[mono] = out.get(mono, ZERO) + c
-
-        for (osc, g2), c in s.terms.items():
+        # over twice the denominator, as gamma_k = g2[k] / 2
+        out = _Accumulator()
+        for (osc, g2), (r, z) in s._nums.items():
             w8 = _wt8((osc, g2))
             if w8 == 0:
                 continue
@@ -687,12 +687,12 @@ class FockSpace:
                 raise WeightOverflowError("translation is only available below weight 2")
             if osc:
                 (n, k) = osc[0]
-                add((((n + 1, k),), g2), c * n)
+                out.add((((n + 1, k),), g2), 2 * n * r, 2 * n * z)
                 continue
             for k, x in enumerate(g2):
                 if x:
-                    add((((1, k),), g2), c * Q(x, 2))
-        return FockState(out)
+                    out.add((((1, k),), g2), x * r, x * z)
+        return out.state(2 * s._den)
 
     # -- serialization -----------------------------------------------------------
 

@@ -1,5 +1,9 @@
+import cProfile
 import itertools
+import math
+import pstats
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,7 +33,70 @@ def unit(dim, k):
     return tuple(Q(1) if i == k else Q(0) for i in range(dim))
 
 
+# a few monomials of a rank-2 frame, so that random states overlap and cancel
+_MONOS = [((), (0, 0)), ((), (2, -2)), ((), (-2, 2)), (((1, 0),), (0, 0)),
+          (((1, 0), (1, 1)), (0, 0)), (((2, 1),), (0, 0)), (((1, 1),), (2, 0))]
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+_EISENSTEINS = st.builds(Eisenstein, _RATIONALS, _RATIONALS)
+_SCALARS = st.one_of(st.integers(-6, 6), _RATIONALS, _EISENSTEINS)
+_TERMS = st.dictionaries(st.sampled_from(_MONOS), _SCALARS, max_size=len(_MONOS))
+
+
+def _eis(c):
+    return c if isinstance(c, Eisenstein) else Eisenstein(Fraction(c))
+
+
+def _model(terms):
+    """The {monomial: Eisenstein} model of a state: nonzero coefficients only."""
+    return {m: _eis(c) for m, c in terms.items() if c}
+
+
+def _model_add(p, q, sign=1):
+    out = dict(p)
+    for m, c in q.items():
+        s = out.get(m, ZERO) + c * sign
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _checked_view(s):
+    """The terms of s, after checking that its stored denominator is the
+    least common one of its coefficients (the state is reduced)."""
+    assert s._den == math.lcm(*(x.denominator for c in s.terms.values() for x in (c.re, c.zc)))
+    return dict(s.terms)
+
+
 class TestFockState:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(_TERMS, _TERMS, _SCALARS, _EISENSTEINS, _EISENSTEINS)
+    def test_integer_arithmetic_matches_eisenstein_model(self, ta, tb, c, y, z):
+        a, b = FockState(ta), FockState(tb)
+        ma, mb = _model(ta), _model(tb)
+        assert _checked_view(a) == ma and _checked_view(b) == mb
+        assert _checked_view(a + b) == _model_add(ma, mb)
+        assert _checked_view(a - b) == _model_add(ma, mb, -1)
+        for k in (c, _eis(c), ZETA, -2):
+            assert _checked_view(a.scale(k)) == {m: v * k for m, v in ma.items() if v * k}
+        assert (a == b) == (ma == mb)
+        assert (a - a).is_zero() and (a + a.scale(-1)).is_zero() and a.scale(0).is_zero()
+        assert FockState(ma) == a and FockState(_model_add(ma, mb)) == a + b
+        # equal states built along different paths hold the same integers
+        for other in ((a + b) - b, (b + a) - b, a.scale(3) - a - a, a.scale(ZETA).scale(ZETA ** 2)):
+            assert other == a and (other._den, other._nums) == (a._den, a._nums)
+        if c:
+            assert a.scale(c).scale(ONE / _eis(c)) == a
+        # field axioms of the scalars on the same inputs
+        x = _eis(c)
+        assert (x + y) + z == x + (y + z) and x + y == y + x
+        assert (x * y) * z == x * (y * z) and x * y == y * x
+        assert x * (y + z) == x * y + x * z
+        assert x - x == ZERO and x * ONE == x and x + ZERO == x
+        if y:
+            assert (x / y) * y == x and y * (ONE / y) == ONE
+
     def test_zero_coefficients_dropped(self, family):
         v = family.space.vacuum()
         assert (v - v).is_zero()
@@ -408,6 +475,18 @@ class TestExpModesPrefilter:
 
 
 class TestIntegerKernel:
+    def test_mode_path_does_no_fraction_work(self, family, cache):
+        # the kernel reads the stored numerators: one mode of a root current
+        # on a warm axis calls nothing in the fractions module
+        sp = family.space
+        current = _root_current(sp, shell(family.K, 2, cache).vectors[0])
+        axis = family.axis(1, 2)
+        sp.apply_mode(current, 0, axis)
+        profile = cProfile.Profile()
+        profile.runcall(sp.apply_mode, current, 0, axis)
+        assert not sorted(name for path, _, name in pstats.Stats(profile).stats
+                          if path.endswith("fractions.py"))
+
     def test_apply_mode_matches_reference_engine(self, family, cache):
         # every left-state kind, coefficients over 3 and 4, n = -1 .. 3
         sp = family.space

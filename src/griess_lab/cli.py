@@ -1,20 +1,21 @@
 """Command-line front end: suite verification, inspection, cache management.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error, 3 at least one check raised an error (the report
-still lists every check).  Verification output is a pure function of the
-resolved configuration and the package version: timings are populated
-only under `verify --timing`, and randomized samples derive from the seed.
+Every setting is a command-line flag with a built-in default.  Exit
+codes: 0 all checks pass, 1 at least one check failed, 2 usage error, 3 at
+least one check raised an error (the report still lists every check).
+Verification output is a pure function of the flags and the package
+version: timings are populated only under `verify --timing`, and
+randomized samples derive from the seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from .fock import (
     FockSpace,
@@ -28,92 +29,11 @@ from .lattice import (
     Lattice,
     build_standard,
     coset_decomposition_A26,
-    default_cache_dir,
     direct_sum,
     root_system_type,
     shell,
 )
 from .scenarios import DEFAULT_SEED, SUITE_NAMES, emit_report, run_suite
-
-CONFIG_KEYS = ("cache-dir", "seed", "jobs", "suite", "format")
-
-
-class ConfigError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class Config:
-    """Resolved settings: flags override file values, which override the
-    GRIESS_LAB_CACHE environment fallback and the built-in defaults."""
-
-    cache_dir: str
-    seed: int
-    jobs: int
-    suite: str
-    format: str
-
-
-def parse_config_file(path: str) -> Dict[str, str]:
-    """Flat `key = value` lines; blank lines and # comments are ignored."""
-    values: Dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(
-                f"{path}:{lineno}: unknown key {key!r}; "
-                f"known keys: {', '.join(CONFIG_KEYS)}")
-        values[key] = val
-    return values
-
-
-def _parse_int(value: str, label: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{label} must be an integer, got {value!r}") from exc
-
-
-def resolve_config(args: argparse.Namespace) -> Config:
-    file_values: Dict[str, str] = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_values = parse_config_file(config_path)
-
-    def pick(flag_value, key: str, fallback: str) -> str:
-        if flag_value is not None:
-            return str(flag_value)
-        if key in file_values:
-            return file_values[key]
-        return fallback
-
-    cache_dir = pick(getattr(args, "cache_dir", None), "cache-dir",
-                     default_cache_dir())
-    seed = _parse_int(pick(getattr(args, "seed", None), "seed",
-                           str(DEFAULT_SEED)), "seed")
-    jobs = _parse_int(pick(getattr(args, "jobs", None), "jobs", "1"), "jobs")
-    if jobs < 1:
-        raise ConfigError("jobs must be at least 1")
-    suite = pick(getattr(args, "suite", None), "suite", "all")
-    if suite not in SUITE_NAMES:
-        raise ConfigError(
-            f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
-    format_ = pick(getattr(args, "format", None), "format", "text")
-    if format_ not in ("json", "text"):
-        raise ConfigError(f"unknown format {format_!r}; expected json or text")
-    return Config(cache_dir=cache_dir, seed=seed, jobs=jobs, suite=suite,
-                  format=format_)
 
 
 # -- object resolution --------------------------------------------------------------
@@ -140,7 +60,8 @@ def resolve_lattice(name: str, cache: DiskCache) -> Lattice:
 
 def resolve_state_expr(expr: str, cache: DiskCache):
     """Named weight-capped states: axis:<i>,<j>; omega:<lattice>;
-    sugawara; ising:<M|N|Ntilde>; parafermion:<level>."""
+    sugawara; parafermion:<level>.  The Ising vectors of M, N and
+    Ntilde are axis:0,0, axis:0,1 and axis:0,2; indices run mod 3."""
     if expr == "sugawara":
         family = build_axis_family(cache=cache)
         return family.space, sugawara_omega(family, cache)
@@ -148,11 +69,6 @@ def resolve_state_expr(expr: str, cache: DiskCache):
     if m:
         family = build_axis_family(cache=cache)
         return family.space, family.axis(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"ising:(M|N|Ntilde)", expr)
-    if m:
-        family = build_axis_family(cache=cache)
-        index = ("M", "N", "Ntilde").index(m.group(1))
-        return family.space, family.axes[0][index]
     m = re.fullmatch(r"omega:(\S+)", expr)
     if m:
         target = resolve_lattice(m.group(1), cache)
@@ -168,8 +84,7 @@ def resolve_state_expr(expr: str, cache: DiskCache):
         return space, parafermion_omega((1, -1, 0), level, space)
     raise ValueError(
         f"unknown state expression {expr!r}; expected axis:<i>,<j>, "
-        "omega:<lattice>, sugawara, ising:<M|N|Ntilde>, or "
-        "parafermion:<level>")
+        "omega:<lattice>, sugawara, or parafermion:<level>")
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -178,15 +93,15 @@ def resolve_state_expr(expr: str, cache: DiskCache):
 EXIT_CHECK_ERROR = 3
 
 
-def cmd_verify(cfg: Config, timing: bool = False, progress: bool = False) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     def report_progress(k: int, n: int, r) -> None:
         sys.stderr.write(f"[{k}/{n}] {r.id} {r.status} ({r.elapsed_ms} ms)\n")
         sys.stderr.flush()
 
-    report = run_suite(cfg.suite, seed=cfg.seed, jobs=cfg.jobs,
-                       cache=DiskCache(cfg.cache_dir), timing=timing,
-                       progress=report_progress if progress else None)
-    sys.stdout.write(emit_report(report, cfg.format, timing=timing))
+    report = run_suite(args.suite, seed=args.seed, jobs=args.jobs,
+                       cache=DiskCache(args.cache_dir), timing=args.timing,
+                       progress=report_progress if args.progress else None)
+    sys.stdout.write(emit_report(report, args.format, timing=args.timing))
     if not report.ok:
         sys.stderr.write("failing checks: " + ", ".join(report.failures) + "\n")
     if report.errors:
@@ -195,8 +110,11 @@ def cmd_verify(cfg: Config, timing: bool = False, progress: bool = False) -> int
     return 0 if report.ok else 1
 
 
-def cmd_inspect(cfg: Config, words: Sequence[str]) -> int:
-    cache = DiskCache(cfg.cache_dir)
+def cmd_inspect(args: argparse.Namespace) -> int:
+    cache = DiskCache(args.cache_dir)
+    words = args.object
+    if not words:
+        raise ValueError("inspect needs an object")
     kind = words[0]
     if kind == "lattice" and len(words) == 2:
         lat = resolve_lattice(words[1], cache)
@@ -209,47 +127,43 @@ def cmd_inspect(cfg: Config, words: Sequence[str]) -> int:
         count = len(shell(lat, norm, cache))
         sys.stdout.write(f"shell {lat.label} norm {norm}: {count} vectors\n")
         return 0
-    if kind == "axis" and len(words) == 3:
-        family = build_axis_family(cache=cache)
-        state = family.axis(int(words[1]), int(words[2]))
-        sys.stdout.write(family.space.dump_state(state))
-        return 0
     if kind == "state-dump" and len(words) == 2:
         space, state = resolve_state_expr(words[1], cache)
         sys.stdout.write(space.dump_state(state))
         return 0
     raise ValueError(
         "expected one of: lattice <name> | shell <name> <norm> | "
-        "axis <i> <j> | state-dump <expr>")
+        "state-dump <expr>")
 
 
-def cmd_cache(cfg: Config, action: str) -> int:
-    cache = DiskCache(cfg.cache_dir)
-    if action == "status":
-        lines = cache.status()
-        if not lines:
-            sys.stdout.write("cache empty\n")
-        for line in lines:
-            sys.stdout.write(line + "\n")
+def cmd_cache(args: argparse.Namespace) -> int:
+    cache = DiskCache(args.cache_dir)
+    if args.action == "clear":
+        sys.stdout.write(f"removed {cache.clear()} cached files\n")
         return 0
-    if action == "clear":
-        removed = cache.clear()
-        sys.stdout.write(f"removed {removed} cached files\n")
-        return 0
-    if action == "build":
+    if args.action == "build":
         family = build_axis_family(cache=cache)
         shell(family.K, 2, cache)
         root_system_type(family.K, cache)
         e8 = build_standard("E8")
         shell(direct_sum([e8] * 3, "E8^3"), 2, cache)
         coset_decomposition_A26(cache)
-        for line in cache.status():
-            sys.stdout.write(line + "\n")
-        return 0
-    raise ValueError("expected one of: build, clear, status")
+    lines = cache.status()
+    if not lines:
+        sys.stdout.write("cache empty\n")
+    for line in lines:
+        sys.stdout.write(line + "\n")
+    return 0
 
 
 # -- argument parsing ---------------------------------------------------------------
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,21 +172,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for the 3C-pure Griess "
                     "algebras and their lattice realization.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache-dir", help="shell/coset cache directory "
-                        "(fallback: GRIESS_LAB_CACHE, then ~/.cache/griess-lab)")
-    common.add_argument("--config", help="flat key = value settings file")
+    common.add_argument(
+        "--cache-dir", default=os.path.join(os.path.expanduser("~"), ".cache",
+                                            "griess-lab"),
+        help="shell/coset cache directory (default: %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run a verification suite",
         epilog="exit codes: 0 all checks passed, 1 a check failed, 2 usage "
-               "or configuration error, 3 a check raised an error (every "
-               "other check is still reported)")
-    p_verify.add_argument("--suite", choices=SUITE_NAMES)
-    p_verify.add_argument("--format", choices=("json", "text"))
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--jobs", type=int)
+               "error, 3 a check raised an error (every other check is "
+               "still reported)")
+    p_verify.set_defaults(run=cmd_verify)
+    p_verify.add_argument("--suite", default="all", choices=SUITE_NAMES)
+    p_verify.add_argument("--format", default="text", choices=("json", "text"))
+    p_verify.add_argument("--seed", default=DEFAULT_SEED, type=int)
+    p_verify.add_argument("--jobs", default=1, type=positive_int)
     p_verify.add_argument("--timing", action="store_true",
                           help="fill each check's elapsed_ms (the report "
                                "bytes then vary from run to run)")
@@ -282,37 +198,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inspect = sub.add_parser("inspect", parents=[common],
                                help="print lattices, shells, or state dumps")
+    p_inspect.set_defaults(run=cmd_inspect)
     p_inspect.add_argument("object", nargs="*",
                            help="lattice <name> | shell <name> <norm> | "
-                                "axis <i> <j> | state-dump <expr>")
+                                "state-dump <expr>")
 
     p_cache = sub.add_parser("cache", parents=[common],
                              help="precompute, list, or clear cached shells")
+    p_cache.set_defaults(run=cmd_cache)
     p_cache.add_argument("action", choices=("build", "clear", "status"))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"griess-lab: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "verify":
-            return cmd_verify(cfg, timing=args.timing, progress=args.progress)
-        if args.command == "inspect":
-            if not args.object:
-                raise ValueError("inspect needs an object")
-            return cmd_inspect(cfg, args.object)
-        if args.command == "cache":
-            return cmd_cache(cfg, args.action)
+        return args.run(args)
     except ValueError as exc:
         print(f"griess-lab: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command dispatch")
 
 
 if __name__ == "__main__":

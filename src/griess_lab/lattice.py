@@ -843,7 +843,11 @@ class DiskCache:
                 raise ValueError(f"bad shell cache header in {path}")
             got_label, got_norm, count, scale, got_digest = header[2:]
             count, scale = int(count), int(scale)
-            if got_label != label or Fraction(got_norm) != norm:
+            try:
+                got_norm = Fraction(got_norm)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"shell cache {path} is damaged: {exc}") from exc
+            if got_label != label or got_norm != norm:
                 raise ValueError(f"shell cache {path} is for {got_label}:{got_norm}")
             if digest is not None and got_digest != digest:
                 return None
@@ -877,7 +881,10 @@ class DiskCache:
             if header[:2] != _COSET_HEADER.split() or len(header) != 5:
                 raise ValueError(f"bad coset cache header in {path}")
             count = int(header[4])
-            reps = tuple(tuple(map(Fraction, line.split())) for line in fh if line.strip())
+            try:
+                reps = tuple(tuple(map(Fraction, line.split())) for line in fh if line.strip())
+            except ZeroDivisionError as exc:
+                raise ValueError(f"coset cache {path} is damaged: {exc}") from exc
         if len(reps) != count:
             raise ValueError(f"coset cache {path} truncated")
         return reps
@@ -911,10 +918,3 @@ class DiskCache:
                 os.remove(os.path.join(self.directory, name))
                 removed += 1
         return removed
-
-
-def default_cache_dir() -> str:
-    env = os.environ.get("GRIESS_LAB_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "griess-lab")

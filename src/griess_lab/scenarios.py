@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -53,7 +54,6 @@ from .lattice import (
     Lattice,
     build_standard,
     coset_decomposition_A26,
-    default_cache_dir,
     difference_lattice,
     direct_sum,
     find_a,
@@ -129,102 +129,84 @@ def render(value) -> str:
 class SuiteContext:
     """Lazily built shared objects (lattices, Fock family, reports).
 
-    Heavy attributes are memoized so one suite run builds each at most
-    once; run_suite touches the attributes a check declares before forking
-    workers, so parallel runs share them by inheritance.
+    Heavy attributes are cached properties, so one suite run builds each
+    at most once; run_suite touches the attributes a check declares before
+    forking workers, so parallel runs share them by inheritance.
     """
 
     def __init__(self, cache: DiskCache, seed: int) -> None:
         self.cache = cache
         self.seed = seed
-        self._memo: Dict[str, object] = {}
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
 
-    def _get(self, key: str, build: Callable[[], object]):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
-    @property
+    @cached_property
     def e8(self) -> Lattice:
-        return self._get("e8", lambda: build_standard("E8"))
+        return build_standard("E8")
 
-    @property
+    @cached_property
     def a_vec(self):
-        return self._get("a_vec", lambda: find_a(self.e8, self.cache))
+        return find_a(self.e8, self.cache)
 
-    @property
+    @cached_property
     def u3(self):
-        return self._get("u3", build_3C)
+        return build_3C()
 
-    @property
+    @cached_property
     def g9(self):
-        return self._get("g9", build_G9)
+        return build_G9()
 
-    @property
+    @cached_property
     def triple_lattice(self) -> Lattice:
-        return self._get(
-            "triple_lattice", lambda: direct_sum([self.e8] * 3, "E8^3"))
+        return direct_sum([self.e8] * 3, "E8^3")
 
-    @property
+    @cached_property
     def cocycle_table(self):
-        return self._get(
-            "cocycle_table", lambda: build_epsilon0(self.triple_lattice))
+        return build_epsilon0(self.triple_lattice)
 
-    @property
+    @cached_property
     def family(self):
-        return self._get(
-            "family", lambda: build_axis_family(self.a_vec, cache=self.cache))
+        return build_axis_family(self.a_vec, cache=self.cache)
 
-    @property
+    @cached_property
     def flat_axes(self) -> List:
-        fam = self.family
-        return self._get(
-            "flat_axes",
-            lambda: [fam.axis(i, j) for i in range(3) for j in range(3)])
+        return [self.family.axis(i, j) for i in range(3) for j in range(3)]
 
-    @property
+    @cached_property
     def sugawara(self):
-        return self._get(
-            "sugawara", lambda: sugawara_expressions(self.family, self.cache))
+        return sugawara_expressions(self.family, self.cache)
 
-    @property
+    @cached_property
     def real_form(self):
-        return self._get(
-            "real_form", lambda: real_form_components(self.family))
+        return real_form_components(self.family)
 
-    @property
+    @cached_property
     def axis_gram(self) -> Matrix:
-        def build() -> Matrix:
-            sp = self.family.space
-            axes = self.flat_axes
-            return Matrix([[sp.invariant_form(a, b).rational_part()
-                            for b in axes] for a in axes])
-        return self._get("axis_gram", build)
+        sp = self.family.space
+        axes = self.flat_axes
+        return Matrix([[sp.invariant_form(a, b).rational_part()
+                        for b in axes] for a in axes])
 
-    @property
+    @cached_property
     def axis_table_mismatches(self) -> Tuple[List, List]:
         """Entry-by-entry comparison of the realized axis algebra with the
         structure-constant tables: (table mismatches, gram mismatches)."""
-        def build() -> Tuple[List, List]:
-            sp = self.family.space
-            axes = self.flat_axes
-            g9 = self.g9
-            gram = self.axis_gram
-            gram_mm = [(i, j, render(gram.rows[i][j]), render(g9.gram.rows[i][j]))
-                       for i in range(9) for j in range(9)
-                       if gram.rows[i][j] != g9.gram.rows[i][j]]
-            table_mm = []
-            for i, j, coeffs in griess_table_entries(sp, axes, gram):
-                if coeffs is None:
-                    table_mm.append((i, j, "outside the axis span",
-                                     render(g9.table[i][j])))
-                elif coeffs != g9.table[i][j]:
-                    table_mm.append((i, j, render(coeffs), render(g9.table[i][j])))
-            return table_mm, gram_mm
-        return self._get("axis_table_mismatches", build)
+        sp = self.family.space
+        axes = self.flat_axes
+        g9 = self.g9
+        gram = self.axis_gram
+        gram_mm = [(i, j, render(gram.rows[i][j]), render(g9.gram.rows[i][j]))
+                   for i in range(9) for j in range(9)
+                   if gram.rows[i][j] != g9.gram.rows[i][j]]
+        table_mm = []
+        for i, j, coeffs in griess_table_entries(sp, axes, gram):
+            if coeffs is None:
+                table_mm.append((i, j, "outside the axis span",
+                                 render(g9.table[i][j])))
+            elif coeffs != g9.table[i][j]:
+                table_mm.append((i, j, render(coeffs), render(g9.table[i][j])))
+        return table_mm, gram_mm
 
 
 @dataclass(frozen=True)
@@ -740,9 +722,8 @@ def _results(ctx: SuiteContext, ids: Sequence[str],
         _POOL_CTX = None
 
 
-def run_suite(name: str, *, seed: int = DEFAULT_SEED, jobs: int = 1,
-              cache: Optional[DiskCache] = None,
-              timing: bool = False,
+def run_suite(name: str, *, cache: DiskCache, seed: int = DEFAULT_SEED,
+              jobs: int = 1, timing: bool = False,
               progress: Optional[Callable[[int, int, CheckResult], None]] = None
               ) -> VerificationReport:
     """Run the named suite and assemble a report ordered by check id.
@@ -757,8 +738,6 @@ def run_suite(name: str, *, seed: int = DEFAULT_SEED, jobs: int = 1,
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     ids = SUITES[name]
-    if cache is None:
-        cache = DiskCache(default_cache_dir())
     ctx = SuiteContext(cache, seed)
     for check_id in ids:
         for attr in CHECKS[check_id].warm:
@@ -773,11 +752,9 @@ def run_suite(name: str, *, seed: int = DEFAULT_SEED, jobs: int = 1,
                               results=ordered)
 
 
-def cross_validate(*, cache: Optional[DiskCache] = None) -> VerificationReport:
+def cross_validate(*, cache: DiskCache) -> VerificationReport:
     """Compare the realized axis algebra against the structure-constant
     tables, reporting every mismatching table or Gram entry separately."""
-    if cache is None:
-        cache = DiskCache(default_cache_dir())
     ctx = SuiteContext(cache, DEFAULT_SEED)
     table_mm, gram_mm = ctx.axis_table_mismatches
     results = [replace(_run_check(ctx, "fock.04.table-cross-validation"),

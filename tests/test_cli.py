@@ -1,21 +1,20 @@
-"""Tests for the command-line front end: parsing, config resolution,
-subcommand behavior, and exit codes."""
+"""Tests for the command-line front end: parsing, flag defaults,
+subcommand behavior, exit codes, and the README's examples."""
 
 import hashlib
 import json
+import os
+import pathlib
 import re
+import shlex
 from fractions import Fraction as Q
 
 import pytest
 
 from griess_lab import cli, scenarios
 from griess_lab.cli import (
-    Config,
-    ConfigError,
     build_parser,
     main,
-    parse_config_file,
-    resolve_config,
     resolve_lattice,
     resolve_state_expr,
 )
@@ -35,68 +34,22 @@ def run_main(argv, capsys):
 
 
 class TestConfig:
-    def test_file_parsing(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("# comment\n\nsuite = cocycle\nseed= 9\n"
-                        "format =json\n")
-        assert parse_config_file(str(path)) == {
-            "suite": "cocycle", "seed": "9", "format": "json"}
-
-    def test_unknown_key(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("tolerance = 1e-9\n")
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_file(str(path))
-
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("just some words\n")
-        with pytest.raises(ConfigError, match="key = value"):
-            parse_config_file(str(path))
-
-    def test_missing_file(self):
-        with pytest.raises(ConfigError, match="cannot read"):
-            parse_config_file("/nonexistent/config")
-
-    def test_precedence_flag_over_file_over_env(self, tmp_path, monkeypatch):
-        path = tmp_path / "cfg"
-        path.write_text("cache-dir = /from/file\nseed = 5\n")
-        monkeypatch.setenv("GRIESS_LAB_CACHE", "/from/env")
-        parser = build_parser()
-
-        args = parser.parse_args(["verify", "--config", str(path),
-                                  "--cache-dir", "/from/flag"])
-        assert resolve_config(args).cache_dir == "/from/flag"
-
-        args = parser.parse_args(["verify", "--config", str(path)])
-        cfg = resolve_config(args)
-        assert cfg.cache_dir == "/from/file"
-        assert cfg.seed == 5
-
-        args = parser.parse_args(["verify"])
-        assert resolve_config(args).cache_dir == "/from/env"
-
     def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("GRIESS_LAB_CACHE", raising=False)
+        # flags are the only settings: the environment is not consulted
+        monkeypatch.setenv("GRIESS_LAB_CACHE", "/from/env")
         args = build_parser().parse_args(["verify"])
-        cfg = resolve_config(args)
-        assert cfg == Config(cache_dir=cfg.cache_dir, seed=scenarios.DEFAULT_SEED,
-                             jobs=1, suite="all", format="text")
-        assert cfg.cache_dir.endswith("griess-lab")
+        assert (args.suite, args.format, args.seed, args.jobs) == (
+            "all", "text", scenarios.DEFAULT_SEED, 1)
+        assert args.cache_dir == os.path.join(
+            os.path.expanduser("~"), ".cache", "griess-lab")
 
-    def test_invalid_values(self, tmp_path):
-        parser = build_parser()
-        for content, message in (
-                ("seed = soon\n", "integer"),
-                ("jobs = 0\n", "jobs"),
-                ("suite = nosuch\n", "unknown suite"),
-                ("format = yaml\n", "unknown format"),
-        ):
-            path = tmp_path / "cfg"
-            path.write_text(content)
-            args = parser.parse_args(["verify", "--config", str(path)])
-            with pytest.raises(ConfigError, match=message):
-                resolve_config(args)
+    def test_invalid_values(self, capsys):
+        for flag, value in (("--seed", "soon"), ("--jobs", "0"),
+                            ("--jobs", "many"), ("--format", "yaml")):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", flag, value])
+            assert exc.value.code == 2
+            assert f"argument {flag}" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -148,34 +101,17 @@ class TestVerifyCommand:
                 digests[suite] = hashlib.sha256(out.encode()).hexdigest()
             assert digests == self.GOLDEN, _cache_state
 
-    def test_config_file_drives_verify(self, cache_dir, tmp_path, capsys):
-        path = tmp_path / "cfg"
-        path.write_text(f"suite = central-charges\nformat = json\n"
-                        f"cache-dir = {cache_dir}\nseed = 11\n")
-        code, out, _ = run_main(["verify", "--config", str(path)], capsys)
-        assert code == 0
-        assert json.loads(out)["seed"] == 11
-
-    def test_flag_overrides_config(self, cache_dir, tmp_path, capsys):
-        path = tmp_path / "cfg"
-        path.write_text(f"suite = central-charges\nformat = json\n"
-                        f"cache-dir = {cache_dir}\nseed = 11\n")
-        code, out, _ = run_main(
-            ["verify", "--config", str(path), "--seed", "12"], capsys)
-        assert code == 0
-        assert json.loads(out)["seed"] == 12
-
     def test_unknown_suite_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nosuch"])
         assert exc.value.code == 2
 
-    def test_bad_config_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "cfg"
-        path.write_text("seed = soon\n")
-        code, _, err = run_main(["verify", "--config", str(path)], capsys)
-        assert code == 2
-        assert "integer" in err
+    def test_bad_config_exits_two(self, capsys):
+        # there is no settings file: --config is an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", "griess-lab.conf"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_failing_suite_exits_one(self, cache_dir, monkeypatch, capsys):
         def bad(ctx):
@@ -272,7 +208,8 @@ class TestInspectCommand:
 
     def test_axis_dump(self, cache_dir, capsys):
         code, out, _ = run_main(
-            ["inspect", "axis", "1", "0", "--cache-dir", cache_dir], capsys)
+            ["inspect", "state-dump", "axis:1,0", "--cache-dir", cache_dir],
+            capsys)
         assert code == 0
         header = out.splitlines()[0].split()
         assert header[:2] == ["griess-lab-state", "v1"]
@@ -293,10 +230,11 @@ class TestInspectCommand:
         assert "rank 8" in out and "det 9" in out
 
     def test_unknown_object_exits_two(self, cache_dir, capsys):
-        code, _, err = run_main(
-            ["inspect", "nonsense", "--cache-dir", cache_dir], capsys)
-        assert code == 2
-        assert "expected one of" in err
+        for words in (["nonsense"], ["axis", "0", "0"]):
+            code, _, err = run_main(
+                ["inspect", *words, "--cache-dir", cache_dir], capsys)
+            assert code == 2
+            assert "expected one of" in err
 
     def test_unknown_lattice_exits_two(self, cache_dir, capsys):
         code, _, err = run_main(
@@ -305,11 +243,12 @@ class TestInspectCommand:
         assert "unknown lattice" in err
 
     def test_unknown_expression_exits_two(self, cache_dir, capsys):
-        code, _, err = run_main(
-            ["inspect", "state-dump", "axis:9", "--cache-dir", cache_dir],
-            capsys)
-        assert code == 2
-        assert "unknown state expression" in err
+        for expr in ("axis:9", "ising:M"):
+            code, _, err = run_main(
+                ["inspect", "state-dump", expr, "--cache-dir", cache_dir],
+                capsys)
+            assert code == 2
+            assert "unknown state expression" in err
 
     def test_no_object_exits_two(self, cache_dir, capsys):
         code, _, err = run_main(["inspect", "--cache-dir", cache_dir], capsys)
@@ -325,10 +264,9 @@ class TestResolvers:
             resolve_lattice("B2", cache)
 
     def test_state_expressions(self, cache):
-        space, state = resolve_state_expr("ising:M", cache)
+        space, state = resolve_state_expr("axis:0,0", cache)
         assert space.invariant_form(state, state).rational_part() == Q(1, 4)
-        space2, axis = resolve_state_expr("axis:0,0", cache)
-        assert axis == state
+        assert resolve_state_expr("axis:3,3", cache)[1] == state
 
     def test_omega_expression(self, cache):
         space, omega = resolve_state_expr("omega:E8", cache)
@@ -383,3 +321,23 @@ class TestCacheCommand:
         with pytest.raises(SystemExit) as exc:
             main(["cache", "destroy"])
         assert exc.value.code == 2
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples(cache_dir, capsys):
+    """Every `griess-lab ...` line of the README's sh blocks parses, and
+    each `inspect` line runs and exits 0 (the `verify` and `cache` lines
+    are only parsed: they take minutes or touch the default cache)."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("griess-lab ")]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    inspect = [argv for argv in commands if argv[0] == "inspect"]
+    assert len(inspect) >= 5
+    for argv in inspect:
+        code, _, err = run_main(argv + ["--cache-dir", cache_dir], capsys)
+        assert (code, err) == (0, ""), argv

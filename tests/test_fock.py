@@ -13,7 +13,6 @@ from griess_lab.fock import (
     FockState,
     WeightOverflowError,
     _root_current,
-    check_commutant_annihilation,
     parafermion_omega,
     parafermion_space,
     real_form_components,
@@ -929,13 +928,6 @@ class TestCommutant:
                     for n in (0, 1):
                         assert sp.heisenberg_mode(h, n, axis).is_zero()
                         assert sp.apply_mode(current, n, axis).is_zero()
-
-    def test_report_shape(self, family, cache):
-        rep = check_commutant_annihilation(family, cache)
-        assert rep.ok
-        assert rep.roots == 72 and rep.axes == 9
-        assert rep.checks == 72 * 9 * 4
-        assert rep.failures == ()
 
 
 class TestParafermion:

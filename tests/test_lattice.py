@@ -453,7 +453,8 @@ class TestCosets:
         assert again.representatives == system.representatives
         assert again.verified
 
-    @pytest.mark.parametrize("damage", ["truncated", "unparsable", "reordered"])
+    @pytest.mark.parametrize("damage", ["truncated", "unparsable", "reordered",
+                                        "zero-denominator"])
     def test_damaged_cache_file_is_rewritten(self, system, tmp_path, damage):
         cache = DiskCache(str(tmp_path))
         coset_decomposition_A26(cache)
@@ -464,6 +465,8 @@ class TestCosets:
             lines = lines[:40]
         elif damage == "unparsable":
             lines[7] = "not a coset representative"
+        elif damage == "zero-denominator":
+            lines[1] = "1/0 " + lines[1].split(" ", 1)[1]
         else:
             # well formed, but not the representatives the construction makes
             lines[3], lines[4] = lines[4], lines[3]
@@ -526,7 +529,8 @@ class TestDiskCache:
         assert len(got) == 126 and got == shell(other, 2)
         assert shell(K, 2, cache) == shell(K, 2)
 
-    @pytest.mark.parametrize("damage", ["norm", "order", "dropped"])
+    @pytest.mark.parametrize("damage", ["norm", "order", "dropped",
+                                        "zero-denominator"])
     def test_damaged_file_is_recomputed(self, tmp_path, e8, damage):
         cache = DiskCache(str(tmp_path))
         good = shell(e8, 2, cache)
@@ -538,6 +542,8 @@ class TestDiskCache:
             body[0] = " ".join(first)
         elif damage == "order":
             body[3], body[4] = body[4], body[3]
+        elif damage == "zero-denominator":
+            header = header.replace(" E8 2 ", " E8 1/0 ")
         else:
             del body[7]
             header = header.replace(" 240 ", " 239 ")

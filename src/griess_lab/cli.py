@@ -1,6 +1,7 @@
-"""Command-line front end: suite verification, inspection, cache management.
+"""Command-line front end: suite verification and inspection.
 
-Every setting is a command-line flag with a built-in default.  Exit
+Every setting is a command-line flag with a built-in default; both
+subcommands fill the shell/coset cache under --cache-dir as they go.  Exit
 codes: 0 all checks pass, 1 at least one check failed, 2 usage error, 3 at
 least one check raised an error (the report still lists every check).
 Verification output is a pure function of the flags and the package
@@ -28,9 +29,6 @@ from .lattice import (
     DiskCache,
     Lattice,
     build_standard,
-    coset_decomposition_A26,
-    direct_sum,
-    root_system_type,
     shell,
 )
 from .scenarios import DEFAULT_SEED, SUITE_NAMES, emit_report, run_suite
@@ -123,7 +121,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         return 0
     if kind == "shell" and len(words) == 3:
         lat = resolve_lattice(words[1], cache)
-        norm = Fraction(words[2])
+        try:
+            norm = Fraction(words[2])
+        except ZeroDivisionError as exc:
+            raise ValueError(f"shell norm {words[2]!r} has a zero denominator") from exc
         count = len(shell(lat, norm, cache))
         sys.stdout.write(f"shell {lat.label} norm {norm}: {count} vectors\n")
         return 0
@@ -134,26 +135,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     raise ValueError(
         "expected one of: lattice <name> | shell <name> <norm> | "
         "state-dump <expr>")
-
-
-def cmd_cache(args: argparse.Namespace) -> int:
-    cache = DiskCache(args.cache_dir)
-    if args.action == "clear":
-        sys.stdout.write(f"removed {cache.clear()} cached files\n")
-        return 0
-    if args.action == "build":
-        family = build_axis_family(cache=cache)
-        shell(family.K, 2, cache)
-        root_system_type(family.K, cache)
-        e8 = build_standard("E8")
-        shell(direct_sum([e8] * 3, "E8^3"), 2, cache)
-        coset_decomposition_A26(cache)
-    lines = cache.status()
-    if not lines:
-        sys.stdout.write("cache empty\n")
-    for line in lines:
-        sys.stdout.write(line + "\n")
-    return 0
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -202,11 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("object", nargs="*",
                            help="lattice <name> | shell <name> <norm> | "
                                 "state-dump <expr>")
-
-    p_cache = sub.add_parser("cache", parents=[common],
-                             help="precompute, list, or clear cached shells")
-    p_cache.set_defaults(run=cmd_cache)
-    p_cache.add_argument("action", choices=("build", "clear", "status"))
     return parser
 
 

@@ -509,32 +509,40 @@ class FockSpace:
         for added, r, z in layer:
             out.add((tuple(sorted(osc + added)) if osc else added, g2), int(r), int(z))
 
-    def _quad_mode(self, out: _Accumulator, k: int, l: int, n: int,
+    def _left_mode(self, out: _Accumulator, osc: Osc, g2: Gamma, n: int,
                    b: List[Num], cr: int, cz: int, shift: int) -> None:
-        # (eps_k(-1)eps_l(-1)1)_n = sum_{m<=-1} k(m) l(n-1-m) + sum_{m>=0} l(n-1-m) k(m)
-        ek, el = {k: 1}, {l: 1}
+        """The n-th mode of the weight <= 2 monomial osc e^g2 applied to b:
+        1 is the identity at n = -1, e^gamma goes to _exp_modes, eps_k(-1)1
+        acts as eps_k(n) and eps_k(-2)1 as -n eps_k(n - 1).  Any other
+        eps_k(-1)x is normal ordered, recursing on x, over the m that can
+        land in weight <= 2:
+        sum_{m=-2..-1} eps_k(m) x_{n-1-m} + sum_{m=0..2} x_{n-1-m} eps_k(m).
+        Each summand spends one halving of shift on an h(0) eigenvalue.
+        """
+        if not osc:
+            if any(g2):
+                self._exp_modes(out, [(((), g2), (cr, cz))], n, b, shift)
+            elif n == -1:
+                for mono, (br, bz) in b:
+                    out.add(mono, (cr * br - cz * bz) << shift,
+                            (cr * bz + cz * br - cz * bz) << shift)
+            return
+        (j, k), x = osc[0], osc[1:]
+        ek = {k: 1}
+        if not x and not any(g2):
+            if j == 1:
+                self._heisenberg(out, ek, n, b, cr, cz, shift)
+            elif n != 0:
+                self._heisenberg(out, ek, n - 1, b, -n * cr, -n * cz, shift)
+            return
         for m in range(-2, 3):
             inner = _Accumulator()
             if m < 0:
-                self._heisenberg(inner, el, n - 1 - m, b, 1, 0, 1)
-                outer, m_outer = ek, m
+                self._left_mode(inner, x, g2, n - 1 - m, b, cr, cz, shift - 1)
+                self._heisenberg(out, ek, m, inner.terms(), 1, 0, 1)
             else:
                 self._heisenberg(inner, ek, m, b, 1, 0, 1)
-                outer, m_outer = el, n - 1 - m
-            self._heisenberg(out, outer, m_outer, inner.terms(), cr, cz, shift - 1)
-
-    def _mixed_mode(self, out: _Accumulator, k: int, g2: Gamma, n: int,
-                    b: List[Num], cr: int, cz: int, shift: int) -> None:
-        # (eps_k(-1)e^gamma)_n by the same normal-ordered splitting
-        ek, e_gamma = {k: 1}, [(((), g2), (cr, cz))]
-        for m in range(-2, 0):
-            inner = _Accumulator()
-            self._exp_modes(inner, e_gamma, n - 1 - m, b, shift - 1)
-            self._heisenberg(out, ek, m, inner.terms(), 1, 0, 1)
-        for m in range(0, 3):
-            inner = _Accumulator()
-            self._heisenberg(inner, ek, m, b, 1, 0, 1)
-            self._exp_modes(out, e_gamma, n - 1 - m, inner.terms(), shift - 1)
+                self._left_mode(out, x, g2, n - 1 - m, inner.terms(), cr, cz, shift - 1)
 
     # -- public modes ----------------------------------------------------------
 
@@ -560,38 +568,19 @@ class FockSpace:
     def apply_mode(self, a: FockState, n: int, b: FockState) -> FockState:
         b_terms = list(b._nums.items())
         # exponential modes halve at most (oscillators of b) + 3 times, a
-        # monomial of weight <= 2 has at most two oscillators, and the
-        # eps_k(-1)e^gamma and quadratic states add one h(0) eigenvalue
+        # monomial of weight <= 2 has at most two oscillators, and the one
+        # eps_k(-1) that _left_mode normal orders adds an h(0) eigenvalue
         shift = 2 + 4
         out = _Accumulator()
         a_exp: List[Num] = []
         for term in a._nums.items():
-            (osc, g2), (cr, cz) = term
-            is_exp = any(g2)
-            if not osc and not is_exp:
-                if n == -1:
-                    for m2, (br, bz) in b_terms:
-                        out.add(m2, (cr * br - cz * bz) << shift,
-                                (cr * bz + cz * br - cz * bz) << shift)
-                continue
-            if not osc:
+            mono, (cr, cz) = term
+            if not mono[0] and any(mono[1]):
                 a_exp.append(term)
-            elif not is_exp and len(osc) == 1 and osc[0][0] == 1:
-                self._heisenberg(out, {osc[0][1]: 1}, n, b_terms, cr, cz, shift)
-            elif not is_exp and len(osc) == 1 and osc[0][0] == 2:
-                if n != 0:
-                    self._heisenberg(out, {osc[0][1]: 1}, n - 1, b_terms,
-                                     -n * cr, -n * cz, shift)
-            elif not is_exp and len(osc) == 2:
-                (n1, k) = osc[0]
-                (n2, l) = osc[1]
-                if (n1, n2) != (1, 1):
-                    raise NotImplementedError("only weight-2 left states are supported")
-                self._quad_mode(out, k, l, n, b_terms, cr, cz, shift)
-            elif is_exp and len(osc) == 1 and osc[0][0] == 1:
-                self._mixed_mode(out, osc[0][1], g2, n, b_terms, cr, cz, shift)
-            else:
+            elif _wt8(mono) > 16:
                 raise NotImplementedError("left state exceeds weight 2")
+            else:
+                self._left_mode(out, *mono, n, b_terms, cr, cz, shift)
         self._exp_modes(out, a_exp, n, b_terms, shift)
         return out.state(a._den * b._den << shift)
 

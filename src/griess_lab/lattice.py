@@ -892,29 +892,3 @@ class DiskCache:
     def store_cosets(self, sup_label: str, sub_label: str, reps: Tuple[QVec, ...]) -> None:
         _write_rows(self._coset_path(sup_label, sub_label),
                     f"{_COSET_HEADER} {sup_label} {sub_label} {len(reps)}", reps)
-
-    def status(self) -> List[str]:
-        """One line per cached file saying what it holds, or naming it as
-        damaged when its first line is not a header this cache writes."""
-        lines = []
-        for name in sorted(os.listdir(self.directory)):
-            if not name.endswith((".shell", ".cosets")):
-                continue
-            with open(os.path.join(self.directory, name), "r", encoding="ascii",
-                      errors="replace") as fh:
-                header = fh.readline().split()
-            if header[:2] == _SHELL_HEADER.split() and len(header) == 7:
-                lines.append(f"{header[2]}:{header[3]} ({header[4]} vectors)")
-            elif header[:2] == _COSET_HEADER.split() and len(header) == 5:
-                lines.append(f"cosets {header[3]} < {header[2]} ({header[4]} classes)")
-            else:
-                lines.append(f"{name}: damaged")
-        return lines
-
-    def clear(self) -> int:
-        removed = 0
-        for name in os.listdir(self.directory):
-            if name.endswith(".shell") or name.endswith(".cosets"):
-                os.remove(os.path.join(self.directory, name))
-                removed += 1
-        return removed

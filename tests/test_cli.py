@@ -18,7 +18,6 @@ from griess_lab.cli import (
     resolve_lattice,
     resolve_state_expr,
 )
-from griess_lab.lattice import DiskCache, build_standard, shell
 from griess_lab.scenarios import CheckDef
 
 
@@ -102,9 +101,11 @@ class TestVerifyCommand:
             assert digests == self.GOLDEN, _cache_state
 
     def test_unknown_suite_flag_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "nosuch"])
-        assert exc.value.code == 2
+        # `cache` is no subcommand: verify and inspect fill the cache
+        for argv in (["verify", "--suite", "nosuch"], ["cache", "status"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_bad_config_exits_two(self, capsys):
         # there is no settings file: --config is an unknown flag
@@ -236,6 +237,13 @@ class TestInspectCommand:
             assert code == 2
             assert "expected one of" in err
 
+    @pytest.mark.parametrize("norm", ["1/0", "abc", "-2"])
+    def test_bad_shell_norm_exits_two(self, cache_dir, capsys, norm):
+        code, out, err = run_main(
+            ["inspect", "shell", "E8", norm, "--cache-dir", cache_dir], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("griess-lab: ") and len(err.splitlines()) == 1
+
     def test_unknown_lattice_exits_two(self, cache_dir, capsys):
         code, _, err = run_main(
             ["inspect", "lattice", "Leech", "--cache-dir", cache_dir], capsys)
@@ -273,63 +281,13 @@ class TestResolvers:
         assert space.invariant_form(omega, omega).rational_part() == Q(4)
 
 
-class TestCacheCommand:
-    def test_status_and_clear(self, tmp_path, capsys):
-        fresh = str(tmp_path / "cachedir")
-        code, out, _ = run_main(["cache", "status", "--cache-dir", fresh],
-                                capsys)
-        assert code == 0
-        assert out == "cache empty\n"
-
-        shell(build_standard("A", 2), 2, DiskCache(fresh))
-        code, out, _ = run_main(["cache", "status", "--cache-dir", fresh],
-                                capsys)
-        assert code == 0
-        assert "A2" in out
-
-        code, out, _ = run_main(["cache", "clear", "--cache-dir", fresh],
-                                capsys)
-        assert code == 0
-        assert "removed 1 cached files" in out
-
-        code, out, _ = run_main(["cache", "status", "--cache-dir", fresh],
-                                capsys)
-        assert out == "cache empty\n"
-
-    def test_status_names_damaged_files(self, tmp_path, capsys):
-        fresh = tmp_path / "cachedir"
-        shell(build_standard("A", 2), 2, DiskCache(str(fresh)))
-        (fresh / "empty__2_1.v2.shell").write_text("")
-        (fresh / "other.cosets").write_text("not a header\n1 2 3\n")
-        code, out, _ = run_main(["cache", "status", "--cache-dir", str(fresh)],
-                                capsys)
-        assert code == 0
-        assert out.splitlines() == ["A2:2 (6 vectors)",
-                                    "empty__2_1.v2.shell: damaged",
-                                    "other.cosets: damaged"]
-
-    def test_build_warms_suite_shells(self, cache_dir, capsys):
-        code, out, _ = run_main(["cache", "build", "--cache-dir", cache_dir],
-                                capsys)
-        assert code == 0
-        listed = out.splitlines()
-        for needle in ("E8", "K", "M", "N", "Ntilde", "E8^3"):
-            assert any(line.startswith(needle + ":") for line in listed), needle
-        assert any("cosets" in line for line in listed)
-
-    def test_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["cache", "destroy"])
-        assert exc.value.code == 2
-
-
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_examples(cache_dir, capsys):
     """Every `griess-lab ...` line of the README's sh blocks parses, and
-    each `inspect` line runs and exits 0 (the `verify` and `cache` lines
-    are only parsed: they take minutes or touch the default cache)."""
+    each `inspect` line runs and exits 0 (the `verify` lines are only
+    parsed: they take minutes)."""
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
     commands = [shlex.split(line)[1:] for block in blocks
                 for line in block.splitlines() if line.startswith("griess-lab ")]

@@ -527,6 +527,12 @@ class TestIntegerKernel:
             family.axis(1, 2),
             _random_weight2_state(sp, family, rng, 8),
             _random_weight2_state(sp, family, rng, 8).scale(third_quarter),
+            # every eps_k(-1)1 and e^-root, and every eps_k(-2)1: the m = -2
+            # and m = 2 terms of a normal-ordered left state land on these
+            sum((sp.oscillator_state([e(k)]) for k in range(24)), FockState())
+            + sum((sp.exp_state(tuple(-x for x in r)) for r in roots),
+                  FockState()).scale(third_quarter),
+            sum((sp.oscillator_state([e(k, 2)]) for k in range(24)), FockState()),
         ]
         landed = {kind: 0 for kind in lefts}
         for kind, make in lefts.items():
@@ -539,6 +545,18 @@ class TestIntegerKernel:
                         assert got == want, (kind, n)
                         landed[kind] += isinstance(got, FockState) and not got.is_zero()
         assert all(landed.values()), landed
+
+    @pytest.mark.parametrize("osc", [((1, 0), (1, 1), (1, 2)), ((1, 0), (2, 1)), ((2, 0),)],
+                             ids=["e0e1e2", "e0e1(-2)", "e0(-2)e^gamma"])
+    def test_left_state_above_weight_two_raises(self, family, osc):
+        # the normal-ordering recursion keeps only m = -2 .. 2, which is
+        # exact only for a left state of weight <= 2
+        sp = family.space
+        g2 = (2, -2) + (0,) * 22 if osc == ((2, 0),) else sp._zero
+        a = FockState({(osc, g2): Q(1, 3)})
+        for n in range(-1, 4):
+            with pytest.raises(NotImplementedError, match="left state exceeds weight 2"):
+                sp.apply_mode(a, n, family.axis(1, 2))
 
 
 class TestBatchedKernel:

@@ -495,9 +495,6 @@ class TestDiskCache:
         assert loaded is not None and loaded.vectors == s.vectors
         with open(cache._shell_path("E8", Fraction(2))) as fh:
             assert fh.readline() == f"griess-lab-shell v2 E8 2 240 2 {e8._digest}\n"
-        assert cache.status() == ["E8:2 (240 vectors)"]
-        assert cache.clear() == 1
-        assert cache.load_shell("E8", Fraction(2)) is None
 
     def test_rejects_corrupt_header(self, tmp_path, e8):
         cache = DiskCache(str(tmp_path))

@@ -48,7 +48,6 @@ from .lattice import (
     DiskCache,
     EmbeddingMaps,
     Lattice,
-    _common_scale,
     annihilator,
     block_embed,
     build_standard,
@@ -61,7 +60,7 @@ from .lattice import (
     shell,
     sublattice_K,
 )
-from .numerics import Eisenstein, Q, ZETA, dot
+from .numerics import Eisenstein, Q, ZETA, _common_scale, dot
 
 Osc = Tuple[Tuple[int, int], ...]      # sorted ((mode >= 1, frame index), ...)
 Gamma = Tuple[int, ...]                # doubled exponent coordinates

@@ -6,8 +6,9 @@ lattices here are the even-coordinate model of E8, its triple direct
 sum, root lattices A_n, tensor products, and the index-3 sublattice of
 E8 isometric to A8 together with its glue structure.
 
-Shell enumeration (all vectors of a prescribed norm) is exact: a
-quadratic completion of the Gram matrix, scaled to integers, drives a
+Shell enumeration (all vectors of a prescribed norm) is exact: the
+steps of the fraction-free elimination of the integer Gram matrix (the
+same pass gives the determinant and the coordinate solver) drive a
 bounded depth-first search, and results can be persisted in a text
 cache.  Coordinates, membership and shells are computed in integers over
 common denominators; Fractions appear only in the values returned.  A
@@ -26,20 +27,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .numerics import Matrix, Q, dot
+from .numerics import Matrix, Q, _common_scale, bareiss, dot
 
 QVec = Tuple[Fraction, ...]
 
 
 def _qvec(v: Sequence) -> QVec:
     return tuple(Fraction(x) for x in v)
-
-
-def _common_scale(v: Sequence) -> Tuple[List[int], int]:
-    """Integers n and the least s >= 1 with v == n / s."""
-    vq = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    s = math.lcm(*(x.denominator for x in vq))
-    return [x.numerator * (s // x.denominator) for x in vq], s
 
 
 def scaled_ints(v: Sequence, scale: int) -> Tuple[int, ...]:
@@ -57,30 +51,6 @@ def scaled_ints(v: Sequence, scale: int) -> Tuple[int, ...]:
             raise ValueError(f"coordinate {x} times {scale} is not an integer")
         out.append(q)
     return tuple(out)
-
-
-def int_adjugate(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
-    """(adj, d) with M^{-1} == adj / d for a nonsingular integer matrix M.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I]: every
-    division by the previous pivot is exact, and the left block ends as
-    d * I with d = +-det M, so the right block is d * M^{-1} in integers.
-    """
-    n = len(rows)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
-            raise ValueError("matrix is singular")
-        m[k], m[p] = m[p], m[k]
-        pk, rk = m[k][k], m[k]
-        for i in range(n):
-            if i != k:
-                f, ri = m[i][k], m[i]
-                m[i] = [(pk * a - f * b) // prev for a, b in zip(ri, rk)]
-        prev = pk
-    return [r[n:] for r in m], prev
 
 
 class Lattice:
@@ -129,11 +99,22 @@ class Lattice:
         return Matrix([[Q(x, lb * lb) for x in r] for r in self._int_gram])
 
     @cached_property
-    def det(self) -> Fraction:
-        d = self.gram.det()
-        if d <= 0:
+    def _gram_elimination(self) -> Tuple[List[List[int]], Tuple[int, ...], int, List[List[int]]]:
+        """bareiss of [G | I] for the integer Gram matrix G.
+
+        G is positive definite, so no row swaps occur: det = det G > 0, the
+        right block of red is det * G^{-1}, and steps holds every row.
+        """
+        n = self.rank
+        got = bareiss([list(r) + [int(i == j) for j in range(n)]
+                       for i, r in enumerate(self._int_gram)])
+        if got[2] == 0:
             raise ValueError(f"basis of {self.label} is not linearly independent")
-        return d
+        return got
+
+    @cached_property
+    def det(self) -> Fraction:
+        return Fraction(self._gram_elimination[2], self._int_basis[0] ** (2 * self.rank))
 
     @cached_property
     def _coord_solver(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
@@ -143,14 +124,11 @@ class Lattice:
         coords(v) = (v . num) / den.
         """
         lb, rows = self._int_basis
-        # G is positive definite, so no row swaps occur and gden = det G > 0
-        gnum, gden = int_adjugate(self._int_gram)
-        cols = [[lb * sum(rows[i][col] * gnum[i][j] for i in range(self.rank))
-                 for j in range(self.rank)] for col in range(self.ambient_dim)]
-        g = gden
-        for r in cols:
-            for x in r:
-                g = math.gcd(g, x)
+        n = self.rank
+        red, _, gden, _ = self._gram_elimination
+        cols = [[lb * sum(rows[i][col] * red[i][n + j] for i in range(n))
+                 for j in range(n)] for col in range(self.ambient_dim)]
+        g = math.gcd(gden, *(x for r in cols for x in r))
         return tuple(tuple(x // g for x in r) for r in cols), gden // g
 
     def _combine(self, coeffs: Iterable[int]) -> List[int]:
@@ -404,46 +382,24 @@ class Shell:
         return tuple(tuple(map(memo.__getitem__, r)) for r in self.ints)
 
 
-def _quadratic_completion(gram: Matrix) -> Tuple[List[Fraction], List[List[Fraction]]]:
-    """Diagonal weights d and completion coefficients u with
-    Q(x) = sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)**2."""
-    n = gram.nrows
-    a = [list(r) for r in gram.rows]
-    d: List[Fraction] = [Q(0)] * n
-    u: List[List[Fraction]] = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        if a[i][i] <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        d[i] = a[i][i]
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                v = a[k][l] - d[i] * u[i][k] * u[i][l]
-                a[k][l] = v
-                a[l][k] = v
-    return d, u
-
-
-def _enumerate_coords(gram: Matrix, m: Fraction) -> List[Tuple[int, ...]]:
+def _enumerate_coords(L: Lattice, m: Fraction) -> List[Tuple[int, ...]]:
     """Integer basis-coordinate vectors of squared norm exactly m.
 
     Only one of each pair {x, -x} is produced (the highest-index nonzero
     coordinate is positive); the zero vector is excluded.
 
-    The search runs in integers.  Row i of the completion has a common
-    denominator e[i], so x_i + sum_{j>i} u[i][j] x_j == y / e[i] with y an
-    integer, and the term d[i] (y / e[i])**2 equals k[i] * y**2 / D for one
-    common D.  Budgets are kept as integer multiples of 1/D.
+    The search runs in integers on the Gram elimination.  With
+    y_i = steps[i] . x and p[i + 1] = steps[i][i] (p[0] = 1), the integer
+    Gram form is lb**2 Q(x) = sum_i y_i**2 / (p[i] p[i + 1]); times a common
+    multiple D of those denominators each term is k[i] * y_i**2, and
+    budgets are integer multiples of 1/D.
     """
-    n = gram.nrows
-    d, u = _quadratic_completion(gram)
-    e = [math.lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    un = [[int(u[i][j] * e[i]) for j in range(n)] for i in range(n)]
-    D = m.denominator
-    for i in range(n):
-        D = math.lcm(D, d[i].denominator * e[i] ** 2)
-    k = [int(d[i] * D / e[i] ** 2) for i in range(n)]
+    n = L.rank
+    steps = L._gram_elimination[3]
+    p = [1] + [steps[i][i] for i in range(n)]
+    target = m * L._int_basis[0] ** 2
+    D = math.lcm(target.denominator, *(p[i] * p[i + 1] for i in range(n)))
+    k = [D // (p[i] * p[i + 1]) for i in range(n)]
     out: List[Tuple[int, ...]] = []
     x = [0] * n
 
@@ -452,7 +408,7 @@ def _enumerate_coords(gram: Matrix, m: Fraction) -> List[Tuple[int, ...]]:
             if budget == 0:
                 out.append(tuple(x))
             return
-        row, ei, ki = un[i], e[i], k[i]
+        row, ei, ki = steps[i], p[i + 1], k[i]
         c = 0
         for j in range(i + 1, n):
             if x[j]:
@@ -469,7 +425,7 @@ def _enumerate_coords(gram: Matrix, m: Fraction) -> List[Tuple[int, ...]]:
             descend(i - 1, budget - ki * y * y, on_axis and xi == 0)
         x[i] = 0
 
-    descend(n - 1, int(m * D), True)
+    descend(n - 1, int(target * D), True)
     return [v for v in out if any(v)]
 
 
@@ -485,7 +441,7 @@ def shell(L: Lattice, norm, cache: Optional["DiskCache"] = None) -> Shell:
         if got is not None:
             return got
     # lb * v sorts like v because lb > 0
-    half = [tuple(L._combine(c)) for c in _enumerate_coords(L.gram, norm)]
+    half = [tuple(L._combine(c)) for c in _enumerate_coords(L, norm)]
     ints = sorted(half + [tuple(-x for x in v) for v in half])
     sh = Shell(L.label, norm, tuple(ints), L._int_basis[0])
     if cache is not None:

@@ -7,13 +7,17 @@ Two scalar domains are used throughout the package:
   unity, represented by :class:`Eisenstein` in the basis {1, zeta}
   subject to zeta**2 = -1 - zeta.
 
-On top of these sits a small dense matrix toolkit (reduced row echelon
-form, kernel, solving, inverse, determinant, eigenspaces for a supplied
-eigenvalue).  Everything is exact; no floating point is ever produced.
+On top of these sits a small dense matrix toolkit over the rationals
+(reduced row echelon form, kernel, solving, inverse, determinant,
+eigenspaces for a supplied eigenvalue).  All of it runs on one exact
+elimination, :func:`bareiss`, a fraction-free integer pass that the
+callers feed with their rationals scaled to integers by
+:func:`_common_scale`.  No floating point is ever produced.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -28,6 +32,53 @@ def _as_fraction(x: Union[int, Fraction]) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
+
+
+def _common_scale(v: Sequence) -> Tuple[List[int], int]:
+    """Integers n and the least s >= 1 with v == n / s."""
+    vq = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    s = math.lcm(*(x.denominator for x in vq))
+    return [x.numerator * (s // x.denominator) for x in vq], s
+
+
+def bareiss(rows: Sequence[Sequence[int]]
+            ) -> Tuple[List[List[int]], Tuple[int, ...], int, List[List[int]]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix.
+
+    Returns (red, pivots, det, steps): red is d * RREF with d the last
+    pivot (1 for a zero matrix) and pivots its pivot columns; det is the
+    determinant of the leading nrows x nrows block (0 when that block is
+    singular or missing); steps[k] is row k as it becomes the pivot row,
+    recorded until the first row swap, so steps[k][k] is the (k+1)-th
+    leading principal minor.  Every division by the previous pivot is
+    exact, and columns with no pivot candidate are skipped.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    pivots: List[int] = []
+    steps: List[List[int]] = []
+    prev, sign = 1, 1
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        if k == nr:
+            break
+        p = next((i for i in range(k, nr) if m[i][col]), None)
+        if p is None:
+            continue
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        elif len(steps) == k:
+            steps.append(m[k])
+        pk, rk = m[k][col], m[k]
+        for i in range(nr):
+            if i != k:
+                f, ri = m[i][col], m[i]
+                m[i] = [(pk * a - f * b) // prev for a, b in zip(ri, rk)]
+        pivots.append(col)
+        prev = pk
+    det = sign * prev if pivots == list(range(nr)) else 0
+    return m, tuple(pivots), det, steps
 
 
 class Eisenstein:
@@ -167,23 +218,22 @@ ZETA = Eisenstein(0, 1)
 SQRT_MINUS_3 = Eisenstein(1, 2)  # (1 + 2*zeta)**2 == -3
 
 Vector = Tuple[Scalar, ...]
-Rows = Sequence[Sequence[Scalar]]
 
 
 class Matrix:
-    """A dense matrix over Fraction or Eisenstein entries.
+    """A dense matrix over the rationals.
 
-    The entry type only needs field arithmetic and comparison with 0;
-    Fraction and Eisenstein both qualify, and int entries are stored as
-    Fractions so that division stays exact.  Instances are treated as
+    Entries are stored as Fractions (int entries are converted, anything
+    else raises TypeError), and every elimination scales each row to
+    integers and runs :func:`bareiss`.  Instances are treated as
     immutable once constructed.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
 
-    def __init__(self, rows: Rows) -> None:
-        self.rows: Tuple[Tuple[Scalar, ...], ...] = tuple(
-            tuple(Fraction(x) if isinstance(x, int) else x for x in r) for r in rows)
+    def __init__(self, rows: Sequence[Sequence[Union[int, Fraction]]]) -> None:
+        self.rows: Tuple[Tuple[Fraction, ...], ...] = tuple(
+            tuple(map(_as_fraction, r)) for r in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for r in self.rows:
@@ -222,34 +272,12 @@ class Matrix:
     def rref(self) -> Tuple["Matrix", Tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices.
 
-        Exact Gauss-Jordan elimination with division by the pivot; with
-        Fraction entries every intermediate value is automatically kept
-        in lowest terms.
+        Scaling a row does not change the form, so this is bareiss of the
+        rows scaled to integers, divided by the last pivot.
         """
-        m = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots: List[int] = []
-        row = 0
-        for col in range(nc):
-            pivot_row = None
-            for i in range(row, nr):
-                if m[i][col] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[row], m[pivot_row] = m[pivot_row], m[row]
-            pv = m[row][col]
-            m[row] = [x / pv for x in m[row]]
-            for i in range(nr):
-                if i != row and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-            pivots.append(col)
-            row += 1
-            if row == nr:
-                break
-        return Matrix(m), tuple(pivots)
+        red, pivots, _, _ = bareiss([_common_scale(r)[0] for r in self.rows])
+        d = red[0][pivots[0]] if pivots else 1
+        return Matrix([[Fraction(x, d) for x in r] for r in red]), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -268,7 +296,7 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def solve(self, b: Sequence[Scalar]) -> Optional[Vector]:
+    def solve(self, b: Sequence[Union[int, Fraction]]) -> Optional[Vector]:
         """One solution x of M x = b, or None when the system is inconsistent."""
         if len(b) != self.nrows:
             raise ValueError("shape mismatch")
@@ -285,42 +313,21 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
-        aug = Matrix([list(r) + [Q(1) if i == j else Q(0) for j in range(n)]
-                      for i, r in enumerate(self.rows)])
-        red, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
+        red, pivots = Matrix([list(r) + [int(i == j) for j in range(n)]
+                              for i, r in enumerate(self.rows)]).rref()
+        if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
         return Matrix([r[n:] for r in red.rows])
 
-    def det(self) -> Scalar:
-        """Determinant by exact elimination, tracking row swaps."""
+    def det(self) -> Fraction:
+        """bareiss's det of the rows scaled to integers over the row scales."""
         if self.nrows != self.ncols:
             raise ValueError("not square")
-        m = [list(r) for r in self.rows]
-        n = self.nrows
-        det: Scalar = Q(1)
-        sign = 1
-        for col in range(n):
-            pivot_row = None
-            for i in range(col, n):
-                if m[i][col] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return Q(0)
-            if pivot_row != col:
-                m[col], m[pivot_row] = m[pivot_row], m[col]
-                sign = -sign
-            pv = m[col][col]
-            det = det * pv
-            inv = 1 / pv
-            for i in range(col + 1, n):
-                if m[i][col] != 0:
-                    f = m[i][col] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-        return det * sign
+        scaled = [_common_scale(r) for r in self.rows]
+        return Fraction(bareiss([n for n, _ in scaled])[2],
+                        math.prod(s for _, s in scaled))
 
-    def eigenspace(self, lam: Scalar) -> List[Vector]:
+    def eigenspace(self, lam: Union[int, Fraction]) -> List[Vector]:
         """Basis of the eigenspace for the supplied eigenvalue lam (possibly empty)."""
         if self.nrows != self.ncols:
             raise ValueError("not square")
@@ -334,7 +341,8 @@ class Matrix:
 def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     total: Scalar = Q(0)
     for a, b in zip(u, v):
-        total = total + a * b
+        if a:
+            total = total + a * b
     return total
 
 

@@ -12,6 +12,7 @@ message; the other checks still run and keep their results.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import random
 import time
@@ -62,7 +63,7 @@ from .lattice import (
     shell,
     sublattice_K,
 )
-from .numerics import SQRT_MINUS_3, Matrix, Q, dot
+from .numerics import SQRT_MINUS_3, Matrix, Q, _common_scale, bareiss, dot
 
 DEFAULT_SEED = 104729
 
@@ -615,10 +616,9 @@ def _twist_decomposition(ctx):
         "all nine leading principal minors of the axis Gram matrix are "
         "positive", PROV_FROZEN, warm=("family", "axis_gram"))
 def _gram_positivity(ctx):
-    gram = ctx.axis_gram
-    minors = tuple(
-        Matrix([[gram.rows[i][j] for j in range(k)] for i in range(k)]).det()
-        for k in range(1, 10))
+    rows, scales = zip(*map(_common_scale, ctx.axis_gram.rows))
+    minors = tuple(Q(step[k], math.prod(scales[:k + 1]))
+                   for k, step in enumerate(bareiss(rows)[3]))
     expected = tuple(Q(63, 256) ** (k - 1) * Q(63 + k, 256)
                      for k in range(1, 10))
     return minors, expected

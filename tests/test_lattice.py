@@ -21,7 +21,6 @@ from griess_lab.lattice import (
     find_a,
     glue_vector,
     index_in,
-    int_adjugate,
     lattice_sum,
     map_lattice,
     root_system_type,
@@ -91,41 +90,6 @@ def draw_vector(data, L, den):
     return tuple(v)
 
 
-def assert_adjugate_inverts(rows):
-    adj, d = int_adjugate(rows)
-    inverse = Matrix([[Fraction(x) for x in r] for r in rows]).inverse()
-    assert [[Fraction(x, d) for x in r] for r in adj] == [list(r) for r in inverse.rows]
-    assert all(isinstance(x, int) for r in adj for x in r)
-
-
-class TestIntAdjugate:
-    @ORACLE
-    @given(st.data())
-    def test_matches_fraction_inverse_on_gram_matrices(self, data):
-        n = data.draw(st.integers(1, 6))
-        dim = data.draw(st.integers(n, 7))
-        basis = data.draw(st.lists(
-            st.lists(st.integers(-5, 5), min_size=dim, max_size=dim),
-            min_size=n, max_size=n))
-        gram = [[sum(x * y for x, y in zip(r, s)) for s in basis] for r in basis]
-        det = Matrix([[Fraction(x) for x in r] for r in gram]).det()
-        assume(det != 0)
-        assert_adjugate_inverts(gram)
-        assert int_adjugate(gram)[1] == det  # no row swaps on a Gram matrix
-
-    def test_pivots_past_a_zero_leading_minor(self):
-        assert_adjugate_inverts([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
-
-    def test_a26_gram(self):
-        gram = build_standard("A", 26)._int_gram
-        assert_adjugate_inverts(gram)
-        assert int_adjugate(gram)[1] == 27
-
-    def test_singular_is_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            int_adjugate([[1, 2], [2, 4]])
-
-
 class TestConstructions:
     def test_a_series(self):
         a2 = build_standard("A", 2)
@@ -191,6 +155,15 @@ class TestConstructions:
         L = ORACLE_LATTICES["mu.A2+A8^3"]
         v = (Q(1),) + (Q(0),) * 26
         assert L.coords(v) is None and reference_coords(L, v) is None
+
+    @pytest.mark.parametrize("use", ("det", "coords", "shell"))
+    def test_dependent_basis_is_rejected(self, use):
+        v = (Q(1), Q(1), Q(0))
+        L = Lattice("MM", [v, v])
+        calls = {"det": lambda: L.det, "coords": lambda: L.coords(v),
+                 "shell": lambda: shell(L, 2)}
+        with pytest.raises(ValueError, match="basis of MM is not linearly independent"):
+            calls[use]()
 
 
 class TestShells:

@@ -13,6 +13,7 @@ bounded depth-first search, and results can be persisted in a text
 cache.  Coordinates, membership and shells are computed in integers over
 common denominators; Fractions appear only in the values returned.  A
 shell keeps its vectors as integer tuples lb * v, in memory and on disk.
+Each irreducible component of the root system is typed by rank and size.
 """
 
 from __future__ import annotations
@@ -99,22 +100,23 @@ class Lattice:
         return Matrix([[Q(x, lb * lb) for x in r] for r in self._int_gram])
 
     @cached_property
-    def _gram_elimination(self) -> Tuple[List[List[int]], Tuple[int, ...], int, List[List[int]]]:
-        """bareiss of [G | I] for the integer Gram matrix G.
+    def _gram_elimination(self) -> Tuple[List[List[int]], int, List[List[int]]]:
+        """(adj, det, steps) from bareiss of [G | I], G the integer Gram matrix.
 
-        G is positive definite, so no row swaps occur: det = det G > 0, the
-        right block of red is det * G^{-1}, and steps holds every row.
+        G is positive definite, so no row swaps occur: det = det G > 0,
+        adj = det * G^{-1} is the right block of the reduced rows, and steps
+        holds the left half of every pivot row.
         """
         n = self.rank
-        got = bareiss([list(r) + [int(i == j) for j in range(n)]
-                       for i, r in enumerate(self._int_gram)])
-        if got[2] == 0:
+        red, _, det, steps = bareiss([list(r) + [int(i == j) for j in range(n)]
+                                      for i, r in enumerate(self._int_gram)])
+        if det == 0:
             raise ValueError(f"basis of {self.label} is not linearly independent")
-        return got
+        return [r[n:] for r in red], det, [r[:n] for r in steps]
 
     @cached_property
     def det(self) -> Fraction:
-        return Fraction(self._gram_elimination[2], self._int_basis[0] ** (2 * self.rank))
+        return Fraction(self._gram_elimination[1], self._int_basis[0] ** (2 * self.rank))
 
     @cached_property
     def _coord_solver(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
@@ -125,8 +127,8 @@ class Lattice:
         """
         lb, rows = self._int_basis
         n = self.rank
-        red, _, gden, _ = self._gram_elimination
-        cols = [[lb * sum(rows[i][col] * red[i][n + j] for i in range(n))
+        adj, gden, _ = self._gram_elimination
+        cols = [[lb * sum(rows[i][col] * adj[i][j] for i in range(n))
                  for j in range(n)] for col in range(self.ambient_dim)]
         g = math.gcd(gden, *(x for r in cols for x in r))
         return tuple(tuple(x // g for x in r) for r in cols), gden // g
@@ -262,16 +264,16 @@ def difference_lattice(L: Lattice, pos: int, neg: int, label: str) -> Lattice:
 # integer row reduction (sums and annihilators)
 
 
-def _int_row_echelon(rows: List[List[int]], track: bool = False):
+def _int_row_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[List[int]]]:
     """Integer row echelon form by gcd elimination.
 
-    Returns (H, U) with U unimodular and U*A = H when track is set,
-    otherwise just H.  Rows of H span the same integer row lattice as A.
+    Returns (H, U) with U unimodular and U*A = H.  Rows of H span the same
+    integer row lattice as A.
     """
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if track else None
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     top = 0
     for col in range(nc):
         while True:
@@ -280,16 +282,14 @@ def _int_row_echelon(rows: List[List[int]], track: bool = False):
                 break
             i0 = min(live, key=lambda i: abs(m[i][col]))
             m[top], m[i0] = m[i0], m[top]
-            if track:
-                u[top], u[i0] = u[i0], u[top]
+            u[top], u[i0] = u[i0], u[top]
             done = True
             for i in range(top + 1, nr):
                 if m[i][col] != 0:
                     q = m[i][col] // m[top][col]
                     if q:
                         m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                        if track:
-                            u[i] = [a - q * b for a, b in zip(u[i], u[top])]
+                        u[i] = [a - q * b for a, b in zip(u[i], u[top])]
                     if m[i][col] != 0:
                         done = False
             if done:
@@ -297,19 +297,17 @@ def _int_row_echelon(rows: List[List[int]], track: bool = False):
         if any(m[i][col] != 0 for i in range(top, nr)):
             if m[top][col] < 0:
                 m[top] = [-x for x in m[top]]
-                if track:
-                    u[top] = [-x for x in u[top]]
+                u[top] = [-x for x in u[top]]
             # reduce entries above the pivot for a canonical form
             for i in range(top):
                 q = m[i][col] // m[top][col]
                 if q:
                     m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                    if track:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[top])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[top])]
             top += 1
             if top == nr:
                 break
-    return (m, u) if track else m
+    return m, u
 
 
 def lattice_sum(A: Lattice, B: Lattice, label: Optional[str] = None) -> Lattice:
@@ -318,7 +316,7 @@ def lattice_sum(A: Lattice, B: Lattice, label: Optional[str] = None) -> Lattice:
     (la, ra), (lb, rb) = A._int_basis, B._int_basis
     den = math.lcm(la, lb)
     rows = [[x * (den // la) for x in r] for r in ra] + [[x * (den // lb) for x in r] for r in rb]
-    h = _int_row_echelon(rows)
+    h, _ = _int_row_echelon(rows)
     basis = [[Fraction(x, den) for x in r] for r in h if any(r)]
     return Lattice(label or f"{A.label}+{B.label}", basis)
 
@@ -348,7 +346,7 @@ def annihilator(L: Lattice, S: Lattice, label: Optional[str] = None) -> Lattice:
         [sum(x * y for x, y in zip(bl, bs)) for bs in S._int_basis[1]]
         for bl in L._int_basis[1]
     ]
-    h, u = _int_row_echelon(pairing, track=True)
+    h, u = _int_row_echelon(pairing)
     kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
     if not kernel_rows:
         raise ValueError("annihilator is trivial")
@@ -395,7 +393,7 @@ def _enumerate_coords(L: Lattice, m: Fraction) -> List[Tuple[int, ...]]:
     budgets are integer multiples of 1/D.
     """
     n = L.rank
-    steps = L._gram_elimination[3]
+    steps = L._gram_elimination[2]
     p = [1] + [steps[i][i] for i in range(n)]
     target = m * L._int_basis[0] ** 2
     D = math.lcm(target.denominator, *(p[i] * p[i + 1] for i in range(n)))
@@ -478,85 +476,48 @@ def shell_brute_force(L: Lattice, norm) -> Shell:
 
 
 def root_system_type(L: Lattice, cache: Optional["DiskCache"] = None) -> str:
-    """ADE type of the norm-2 vectors, e.g. 'A8', 'E8', 'A2+A2', 'no roots'."""
+    """ADE type of the norm-2 vectors, e.g. 'A8', 'E8', 'A2+A2', 'no roots'.
+
+    The components are the classes of the relation "not orthogonal", and
+    each is labelled by its rank and number of roots.  'not simply-laced
+    root lattice' means the roots span less than L; 'unknown' means some
+    root pairing is not an integer, or no type has that rank and count.
+    """
+    import numpy as np
+
     roots = shell(L, 2, cache)
     if not roots:
         return "no roots"
-    if sum(1 for r in _int_row_echelon(roots.ints) if any(r)) < L.rank:
+    # the roots are held as scale * r, so pairings are scale**2 times the
+    # true ones, at most 2 * scale**2 in size: exact in int64 below 2**31
+    ints = np.array(roots.ints, dtype=np.int64 if roots.scale < 2 ** 31 else object)
+    pair = ints @ ints.T
+    left, comps = set(range(len(roots))), []
+    while left:
+        walk = [left.pop()]
+        for v in walk:
+            near = left.intersection(np.flatnonzero(pair[v]).tolist())
+            left -= near
+            walk += near
+        comps.append([roots.ints[i] for i in walk])
+    ranks = [len(bareiss(c)[1]) for c in comps]
+    if sum(ranks) < L.rank:
         return "not simply-laced root lattice"
-    pos = [r for r in roots.ints if _lex_positive(r)]
-    pos_set = set(pos)
-    simple = []
-    for r in pos:
-        if not any(tuple(a - b for a, b in zip(r, p)) in pos_set for p in pos):
-            simple.append(r)
-    n = len(simple)
-    adj: Dict[int, List[int]] = {i: [] for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            # the roots are held as scale * r, so a pairing of -1 reads -scale**2
-            c = dot(simple[i], simple[j])
-            if c == -roots.scale ** 2:
-                adj[i].append(j)
-                adj[j].append(i)
-            elif c != 0:
-                return "unknown"
-    seen = [False] * n
-    labels = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        comp = [i]
-        seen[i] = True
-        queue = [i]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        labels.append(_classify_component(comp, adj))
-    return "+".join(sorted(labels))
-
-
-def _lex_positive(v: Sequence[int]) -> bool:
-    for x in v:
-        if x:
-            return x > 0
-    return False
-
-
-def _classify_component(comp: List[int], adj: Dict[int, List[int]]) -> str:
-    n = len(comp)
-    degs = {v: len([w for w in adj[v] if w in comp]) for v in comp}
-    edge_count = sum(degs.values()) // 2
-    if edge_count != n - 1:
+    if (pair % roots.scale ** 2).any():
         return "unknown"
-    if max(degs.values(), default=0) <= 2:
-        return f"A{n}"
-    branch = [v for v in comp if degs[v] == 3]
-    if len(branch) != 1 or max(degs.values()) > 3:
-        return "unknown"
-    b = branch[0]
-    arms = []
-    for start in adj[b]:
-        length = 1
-        prev, cur = b, start
-        while degs[cur] == 2:
-            nxt = [w for w in adj[cur] if w != prev][0]
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
+    return "+".join(sorted(_component_type(n, len(c)) for n, c in zip(ranks, comps)))
+
+
+def _component_type(n: int, count: int) -> str:
+    """The irreducible simply-laced type of rank n with count roots: 72, 126,
+    240 for E6, E7, E8, 2n(n - 1) for D_n (n >= 4; D3 is A3) and n(n + 1) for
+    A_n (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-VII)."""
+    if {6: 72, 7: 126, 8: 240}.get(n) == count:
+        return f"E{n}"
+    if n >= 4 and count == 2 * n * (n - 1):
         return f"D{n}"
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
+    if count == n * (n + 1):
+        return f"A{n}"
     return "unknown"
 
 
@@ -564,27 +525,21 @@ def _classify_component(comp: List[int], adj: Dict[int, List[int]]) -> str:
 # the index-3 sublattice of E8 and its glue
 
 
-def sublattice_mod(L: Lattice, a: Sequence, modulus: int, label: str) -> Lattice:
-    """{v in L : <v, a> = 0 mod modulus} (index dividing modulus)."""
-    aq = _qvec(a)
-    c = [int(dot(b, aq)) % modulus for b in L.basis]
-    if all(x == 0 for x in c):
-        return Lattice(label, L.basis)
-    i0 = next(i for i, x in enumerate(c) if x != 0)
-    inv = pow(c[i0], -1, modulus)
-    basis: List[QVec] = []
-    for j, b in enumerate(L.basis):
-        if j == i0:
-            basis.append(tuple(modulus * x for x in b))
-        else:
-            k = (c[j] * inv) % modulus
-            basis.append(tuple(x - k * y for x, y in zip(b, L.basis[i0])))
-    return Lattice(label, basis)
-
-
 def sublattice_K(e8: Lattice, a: Sequence) -> Lattice:
-    """The vectors of E8 pairing to a multiple of 3 with a."""
-    return sublattice_mod(e8, a, 3, "K")
+    """The vectors of E8 pairing to a multiple of 3 with a (index 1 or 3)."""
+    c = [int(dot(b, a)) % 3 for b in e8.basis]
+    if not any(c):
+        return Lattice("K", e8.basis)
+    i0 = next(i for i, x in enumerate(c) if x)
+    basis: List[QVec] = []
+    for j, b in enumerate(e8.basis):
+        if j == i0:
+            basis.append(tuple(3 * x for x in b))
+        else:
+            # c[i0] is 1 or 2, its own inverse mod 3
+            k = (c[j] * c[i0]) % 3
+            basis.append(tuple(x - k * y for x, y in zip(b, e8.basis[i0])))
+    return Lattice("K", basis)
 
 
 def find_a(e8: Lattice, cache: Optional["DiskCache"] = None) -> QVec:

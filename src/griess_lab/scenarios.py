@@ -234,7 +234,7 @@ def _check(id: str, quote: str, provenance: str, warm: Tuple[str, ...] = ()):
 
 @_check("abstract.01.three-axes-omega",
         "the rescaled sum of the three axes is a Virasoro vector of "
-        "central charge 16/11", PROV_FROZEN)
+        "central charge 16/11", PROV_FROZEN, warm=("u3",))
 def _three_axes_omega(ctx):
     omega = tuple(Q(32, 33) for _ in range(3))
     return certify_virasoro(ctx.u3, omega), Q(16, 11)
@@ -242,7 +242,7 @@ def _three_axes_omega(ctx):
 
 @_check("abstract.02.three-axes-complement",
         "removing one axis from the conformal vector leaves an orthogonal "
-        "Virasoro vector of charge 21/22 and norm 21/44", PROV_FROZEN)
+        "Virasoro vector of charge 21/22 and norm 21/44", PROV_FROZEN, warm=("u3",))
 def _three_axes_complement(ctx):
     u3 = ctx.u3
     omega = tuple(Q(32, 33) for _ in range(3))
@@ -254,7 +254,7 @@ def _three_axes_complement(ctx):
 
 @_check("abstract.03.nine-axes-gram",
         "the Gram matrix of the nine axes is nonsingular with the frozen "
-        "determinant", PROV_FROZEN)
+        "determinant", PROV_FROZEN, warm=("g9",))
 def _nine_axes_gram(ctx):
     g9 = ctx.g9
     return ((g9.gram.det(), g9.gram.rank()),
@@ -263,7 +263,7 @@ def _nine_axes_gram(ctx):
 
 @_check("abstract.04.nine-axes-omega",
         "the rescaled sum of the nine axes has central charge 4 and its "
-        "half acts as the identity", PROV_FROZEN)
+        "half acts as the identity", PROV_FROZEN, warm=("g9",))
 def _nine_axes_omega(ctx):
     g9 = ctx.g9
     omega = tuple(Q(8, 9) for _ in range(9))
@@ -275,7 +275,7 @@ def _nine_axes_omega(ctx):
 
 @_check("abstract.05.line-idempotents",
         "the four line idempotents have charge 21/22 and satisfy all six "
-        "exchange relations", PROV_FROZEN)
+        "exchange relations", PROV_FROZEN, warm=("g9",))
 def _line_idempotents(ctx):
     g9 = ctx.g9
     relations = sum(check_a_products(g9).values())
@@ -287,7 +287,7 @@ def _line_idempotents(ctx):
 @_check("abstract.06.frame-decomposition",
         "axis, line complement and plane complement are orthogonal Virasoro "
         "vectors of charges 1/2, 21/22, 28/11 summing to the conformal "
-        "vector", PROV_FROZEN)
+        "vector", PROV_FROZEN, warm=("g9",))
 def _frame_decomposition(ctx):
     g9 = ctx.g9
     frame = standard_frame(g9)
@@ -303,7 +303,7 @@ def _frame_decomposition(ctx):
 
 @_check("abstract.07.highest-weight-triples",
         "the four distinguished vectors carry the documented eigenvalue "
-        "triples under the frame", PROV_FROZEN)
+        "triples under the frame", PROV_FROZEN, warm=("g9",))
 def _highest_weight_triples(ctx):
     g9 = ctx.g9
     frame = standard_frame(g9)
@@ -334,7 +334,7 @@ def _highest_weight_triples(ctx):
 
 @_check("abstract.08.adjoint-spectra",
         "axis adjoints have eigenvalue multiplicities {2:1, 0:4, 1/16:4} on "
-        "nine axes and {2:1, 0:1, 1/16:1} on three", PROV_FROZEN)
+        "nine axes and {2:1, 0:1, 1/16:1} on three", PROV_FROZEN, warm=("g9", "u3"))
 def _adjoint_spectra(ctx):
     nine = {lam: len(b)
             for lam, b in adjoint_eigenspaces(ctx.g9, ctx.g9.unit(0)).items()}
@@ -347,7 +347,7 @@ def _adjoint_spectra(ctx):
 @_check("abstract.09.miyamoto-group",
         "the nine Miyamoto involutions close into an order-18 group with a "
         "normal order-9 part, nine conjugate involutions, and commuting "
-        "order-3 generator products", PROV_FROZEN)
+        "order-3 generator products", PROV_FROZEN, warm=("g9",))
 def _miyamoto_group(ctx):
     g9 = ctx.g9
     taus = {(i, j): miyamoto_tau(g9, axis_vector(g9, i, j))
@@ -369,7 +369,7 @@ def _miyamoto_group(ctx):
 
 @_check("abstract.10.sigma-trivial",
         "the adjoint of an axis has no 1/2-eigenvector, so every sigma "
-        "involution is the identity", PROV_FROZEN)
+        "involution is the identity", PROV_FROZEN, warm=("u3", "g9"))
 def _sigma_trivial(ctx):
     s3 = miyamoto_sigma(ctx.u3, ctx.u3.unit(0))
     s9 = miyamoto_sigma(ctx.g9, ctx.g9.unit(0))

@@ -233,10 +233,22 @@ class TestRootSystemType:
         assert root_system_type(build_standard("A", 2)) == "A2"
         assert root_system_type(build_standard("A", 8)) == "A8"
         assert root_system_type(direct_sum([build_standard("A", 1), build_standard("A", 1)])) == "A1+A1"
+        assert root_system_type(build_standard("Z", 2)) == "A1+A1"
+        # Z2 turned by a rational rotation with denominator 2**32 + 1: the
+        # scaled pairings overflow int64
+        a, b, c = 2 ** 32 - 1, 2 ** 17, 2 ** 32 + 1
+        turned = Lattice("turnedZ2", [[Q(a, c), Q(b, c)], [Q(-b, c), Q(a, c)]])
+        assert root_system_type(turned) == "A1+A1"
+        # D3 is A3: both have 12 roots, and Z3 holds them as D3
+        assert root_system_type(build_standard("A", 3)) == "A3"
+        assert root_system_type(build_standard("Z", 3)) == "A3"
+        # 240 roots like E8; only the rank tells them apart
+        assert root_system_type(build_standard("A", 15)) == "A15"
 
     def test_d4(self):
         d4 = Lattice("D4", [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]])
         assert root_system_type(d4) == "D4"
+        assert root_system_type(build_standard("Z", 5)) == "D5"
 
     def test_e_series_from_annihilators(self, e8, cache):
         alpha = shell(e8, 2, cache).vectors[0]
@@ -258,6 +270,13 @@ class TestRootSystemType:
         # Z + A1-at-norm-2 mixture: roots span only one of two dimensions
         L = Lattice("mix", [[1, 1, 0], [0, 0, 3]])
         assert root_system_type(L) == "not simply-laced root lattice"
+        # roots pairing to 1/2: not an integral root system
+        h = Fraction(1, 2)
+        half = Lattice("half", [[1, 1, 0, 0, 0, 0], [h, 0, 1, h, h, h]])
+        assert root_system_type(half) == "unknown"
+        # six roots of rank 2, A2's count, pairing to 1/4 and 3/2
+        quarter = Lattice("quarter", [[h, h, 0, 0, 0], [h, 0, h, h, h]])
+        assert root_system_type(quarter) == "unknown"
 
 
 class TestKSublattice:

@@ -10,7 +10,10 @@ frame and exponents stored as doubled integer vectors (so E8-style
 half-integer coordinates stay integral).  The engine implements the
 Heisenberg modes, the modes of exponential states via the closed
 double-exponential expansion, the Griess product a.b = a_1 b, and the
-weight-2 pairing <a,b>1 = a_3 b, all exactly.
+weight-2 pairing <a,b>1 = a_3 b, all exactly.  A mode of a left state
+takes its pure exponentials in one batch and its eps_k(-1) eps_l(-1) 1
+terms, as one integer matrix, in one pass over the right state; only
+the terms 1, eps_k(-1), eps_k(-2) and eps_k(-1)e^gamma go one by one.
 
 A state stores its coefficients once, as Eisenstein-integer numerators
 re + zc*zeta over one reduced positive denominator.  Sums, scalings,
@@ -140,13 +143,13 @@ class FockState:
     re + zc*zeta over one positive denominator, the gcd of the denominator
     and all numerators being 1."""
 
-    __slots__ = ("_den", "_nums", "_terms")
+    __slots__ = ("_den", "_nums", "_terms", "_weight")
 
     def __init__(self, terms: Optional[Mapping[Monomial, object]] = None) -> None:
         parts = [(mono, *_int_parts(c)) for mono, c in terms.items()] if terms else []
         # the least common denominator leaves the numerators reduced
         den = math.lcm(*(d for _, _, d in parts))
-        self._den, self._terms = den, None
+        self._den, self._terms, self._weight = den, None, None
         self._nums: Dict[Monomial, Pair] = {
             mono: (r * (den // d), z * (den // d)) for mono, (r, z), d in parts if r or z}
 
@@ -158,7 +161,7 @@ class FockState:
             den //= g
             nums = {mono: (r // g, z // g) for mono, (r, z) in nums.items()}
         out = cls.__new__(cls)
-        out._den, out._nums, out._terms = den, nums, None
+        out._den, out._nums, out._terms, out._weight = den, nums, None, None
         return out
 
     @property
@@ -204,13 +207,16 @@ class FockState:
             for mono, (r, z) in self._nums.items()})
 
     def weight(self) -> Fraction:
-        ws = {_wt8(m) for m in self._nums}
-        if not ws:
-            raise ValueError("the zero state has no weight")
-        if len(ws) > 1:
-            raise ValueError(
-                f"state is not homogeneous: weights {sorted(Q(w, 8) for w in ws)}")
-        return Q(ws.pop(), 8)
+        """The weight of a homogeneous nonzero state, computed once."""
+        if self._weight is None:
+            ws = {_wt8(m) for m in self._nums}
+            if not ws:
+                raise ValueError("the zero state has no weight")
+            if len(ws) > 1:
+                raise ValueError(
+                    f"state is not homogeneous: weights {sorted(Q(w, 8) for w in ws)}")
+            self._weight = Q(ws.pop(), 8)
+        return self._weight
 
     def exponents(self) -> List[Gamma]:
         return sorted({g2 for _, g2 in self._nums})
@@ -508,40 +514,108 @@ class FockSpace:
         for added, r, z in layer:
             out.add((tuple(sorted(osc + added)) if osc else added, g2), int(r), int(z))
 
+    def _quad_modes(self, out: _Accumulator, D: Dict[int, Dict[int, Pair]], n: int,
+                    b: List[Num], shift: int) -> None:
+        """The n-th mode of sum_{k <= l} D[k][l] eps_k(-1) eps_l(-1) 1 applied
+        to b, D[k][l] being the numerator pair of that term.
+
+        Normal ordered, the mode is the sum over the m that can land in
+        weight <= 2, m = -2 .. 2 with p = n - 1 - m, of sum D_kl eps_k(m)
+        eps_l(p) for m < 0 and of sum D_kl eps_l(p) eps_k(m) for m >= 0.
+        The right-hand factor acts once on each monomial of b, and each
+        landing gives a vector u over the directions: the doubled gamma for
+        h(0), which halves once; j e_d for an annihilated eps_d(-j); e_d for
+        each created eps_d(p) (n <= -1 only).  D contracts u into one
+        direction v (v_k = sum_l D_kl u_l for m < 0, v_l = sum_k D_kl u_k
+        for m >= 0), along which the left-hand factor acts.  A landing whose
+        left-hand factor creates past weight 2 raises, even where v cancels,
+        as each term of D would raise on its own.
+        """
+        if not D:
+            return
+        cols: Dict[int, Dict[int, Pair]] = {}
+        for k, row in D.items():
+            for l, x in row.items():
+                cols.setdefault(l, {})[k] = x
+        for m in range(-2, 3):
+            p = n - 1 - m
+            # the right-hand factor eps(q) on the index that D contracts, the
+            # left-hand factor eps(r) on the other
+            q, r, by = (p, m, cols) if m < 0 else (m, p, D)
+            for (osc, g2), (br, bz) in b:
+                if q == 0:
+                    u = [(d, g2[d]) for d in by if g2[d]]
+                    landed = [(osc, u, 1)] if u else []
+                elif q > 0:
+                    landed = [(osc[:i] + osc[i + 1:], [(d, q)], 0)
+                              for i, (j, d) in enumerate(osc) if j == q and d in by]
+                else:
+                    landed = [(tuple(sorted(osc + ((-q, d),))), [(d, 1)], 0) for d in by]
+                if not landed:
+                    continue
+                if r < 0:
+                    new_wt8 = _wt8((osc, g2)) + 8 * (1 - n)
+                    if new_wt8 > 16:
+                        raise WeightOverflowError(
+                            f"h({r}) would create weight {Q(new_wt8, 8)}")
+                for rest, u, halved in landed:
+                    v: Dict[int, Pair] = {}
+                    for d, x in u:
+                        for e, (dr, dz) in by[d].items():
+                            vr, vz = v.get(e, (0, 0))
+                            v[e] = (vr + x * dr, vz + x * dz)
+                    if r == 0:
+                        vr = sum(x * g2[e] for e, (x, _) in v.items())
+                        vz = sum(x * g2[e] for e, (_, x) in v.items())
+                        emitted = [(rest, vr, vz)]
+                        halved += 1
+                    elif r > 0:
+                        emitted = [(rest[:i] + rest[i + 1:], r * v[e][0], r * v[e][1])
+                                   for i, (j, e) in enumerate(rest) if j == r and e in v]
+                    else:
+                        emitted = [(tuple(sorted(rest + ((-r, e),))), x, y)
+                                   for e, (x, y) in v.items()]
+                    room = shift - halved
+                    for new, x, y in emitted:
+                        if x or y:
+                            out.add((new, g2), (x * br - y * bz) << room,
+                                    (x * bz + y * br - y * bz) << room)
+
     def _left_mode(self, out: _Accumulator, osc: Osc, g2: Gamma, n: int,
                    b: List[Num], cr: int, cz: int, shift: int) -> None:
-        """The n-th mode of the weight <= 2 monomial osc e^g2 applied to b:
-        1 is the identity at n = -1, e^gamma goes to _exp_modes, eps_k(-1)1
-        acts as eps_k(n) and eps_k(-2)1 as -n eps_k(n - 1).  Any other
-        eps_k(-1)x is normal ordered, recursing on x, over the m that can
-        land in weight <= 2:
-        sum_{m=-2..-1} eps_k(m) x_{n-1-m} + sum_{m=0..2} x_{n-1-m} eps_k(m).
+        """The n-th mode of a monomial 1, eps_k(-1)1, eps_k(-2)1 or
+        eps_k(-1)e^gamma applied to b: 1 is the identity at n = -1,
+        eps_k(-1)1 acts as eps_k(n) and eps_k(-2)1 as -n eps_k(n - 1).
+        eps_k(-1)e^gamma is normal ordered over the m that can land in
+        weight <= 2:
+        sum_{m=-2..-1} eps_k(m) e^gamma_{n-1-m} + sum_{m=0..2} e^gamma_{n-1-m} eps_k(m).
         Each summand spends one halving of shift on an h(0) eigenvalue.
+        Pure exponentials go to _exp_modes and eps_k(-1)eps_l(-1)1 to
+        _quad_modes instead.
         """
         if not osc:
-            if any(g2):
-                self._exp_modes(out, [(((), g2), (cr, cz))], n, b, shift)
-            elif n == -1:
+            if n == -1:
                 for mono, (br, bz) in b:
                     out.add(mono, (cr * br - cz * bz) << shift,
                             (cr * bz + cz * br - cz * bz) << shift)
             return
-        (j, k), x = osc[0], osc[1:]
+        (j, k), = osc
         ek = {k: 1}
-        if not x and not any(g2):
+        if not any(g2):
             if j == 1:
                 self._heisenberg(out, ek, n, b, cr, cz, shift)
             elif n != 0:
                 self._heisenberg(out, ek, n - 1, b, -n * cr, -n * cz, shift)
             return
+        e_gamma = [(((), g2), (cr, cz))]
         for m in range(-2, 3):
             inner = _Accumulator()
             if m < 0:
-                self._left_mode(inner, x, g2, n - 1 - m, b, cr, cz, shift - 1)
+                self._exp_modes(inner, e_gamma, n - 1 - m, b, shift - 1)
                 self._heisenberg(out, ek, m, inner.terms(), 1, 0, 1)
             else:
                 self._heisenberg(inner, ek, m, b, 1, 0, 1)
-                self._left_mode(out, x, g2, n - 1 - m, inner.terms(), cr, cz, shift - 1)
+                self._exp_modes(out, e_gamma, n - 1 - m, inner.terms(), shift - 1)
 
     # -- public modes ----------------------------------------------------------
 
@@ -567,19 +641,25 @@ class FockSpace:
     def apply_mode(self, a: FockState, n: int, b: FockState) -> FockState:
         b_terms = list(b._nums.items())
         # exponential modes halve at most (oscillators of b) + 3 times, a
-        # monomial of weight <= 2 has at most two oscillators, and the one
-        # eps_k(-1) that _left_mode normal orders adds an h(0) eigenvalue
+        # monomial of weight <= 2 has at most two oscillators, and the
+        # eps_k(-1) of eps_k(-1)e^gamma adds an h(0) eigenvalue; the
+        # quadratic terms halve at most twice, once per h(0)
         shift = 2 + 4
         out = _Accumulator()
         a_exp: List[Num] = []
+        quad: Dict[int, Dict[int, Pair]] = {}
         for term in a._nums.items():
-            mono, (cr, cz) = term
-            if not mono[0] and any(mono[1]):
+            (osc, g2), pair = term
+            if not osc and any(g2):
                 a_exp.append(term)
-            elif _wt8(mono) > 16:
+            elif _wt8(term[0]) > 16:
                 raise NotImplementedError("left state exceeds weight 2")
+            elif len(osc) == 2:
+                # weight 2 with two oscillators: eps_k(-1) eps_l(-1) 1, k <= l
+                quad.setdefault(osc[0][1], {})[osc[1][1]] = pair
             else:
-                self._left_mode(out, *mono, n, b_terms, cr, cz, shift)
+                self._left_mode(out, osc, g2, n, b_terms, *pair, shift)
+        self._quad_modes(out, quad, n, b_terms, shift)
         self._exp_modes(out, a_exp, n, b_terms, shift)
         return out.state(a._den * b._den << shift)
 

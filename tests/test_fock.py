@@ -1,3 +1,4 @@
+import collections
 import cProfile
 import itertools
 import math
@@ -109,14 +110,17 @@ class TestFockState:
         assert s.scale(3) == e_m.scale(2) + e_n.scale(ZETA * 3)
 
     def test_weight_of_homogeneous_state(self, family):
-        assert family.axes[1][2].weight() == 2
+        axis = family.axes[1][2]
+        assert axis.weight() == 2 and axis.weight() is axis.weight()
         assert family.space.vacuum().weight() == 0
 
     def test_mixed_weight_rejected(self, family):
+        # the weight is kept only once found: every call on a mixed state raises
         sp = family.space
         mixed = sp.vacuum() + family.axes[0][0]
-        with pytest.raises(ValueError):
-            mixed.weight()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not homogeneous"):
+                mixed.weight()
         with pytest.raises(ValueError):
             sp.griess_product(mixed, family.axes[0][0])
 
@@ -259,23 +263,30 @@ def _random_weight2_state(space, family, rng, nterms=6):
     quartic = shell(family.M, 4).vectors + shell(family.N, 4).vectors
     roots = [block_embed(r, rng.randrange(3), 3)
              for r in shell(family.e8, 2).vectors[:40]]
+    return _random_weight2(space, roots, quartic, rng, nterms)
+
+
+def _random_weight2(space, roots, quartic, rng, nterms):
+    """A random weight-2 state of space: eps eps, eps(-2), e^gamma for
+    gamma in quartic (norm 4) and eps(-1)e^gamma for gamma in roots."""
+    dim = space.dim
     s = FockState()
     for _ in range(nterms):
         c = Eisenstein(Q(rng.randint(-3, 3), rng.randint(1, 4)),
                        Q(rng.randint(-2, 2), rng.randint(1, 3)))
         kind = rng.randrange(4)
         if kind == 0:
-            k, l = rng.randrange(24), rng.randrange(24)
+            k, l = rng.randrange(dim), rng.randrange(dim)
             s = s + space.oscillator_state(
-                [(unit(24, k), 1), (unit(24, l), 1)], c)
+                [(unit(dim, k), 1), (unit(dim, l), 1)], c)
         elif kind == 1:
-            s = s + space.oscillator_state([(unit(24, rng.randrange(24)), 2)], c)
+            s = s + space.oscillator_state([(unit(dim, rng.randrange(dim)), 2)], c)
         elif kind == 2:
             s = s + space.exp_state(quartic[rng.randrange(len(quartic))], c)
         else:
             gamma = roots[rng.randrange(len(roots))]
             s = s + space.heisenberg_mode(
-                unit(24, rng.randrange(24)), -1, space.exp_state(gamma, c))
+                unit(dim, rng.randrange(dim)), -1, space.exp_state(gamma, c))
     return s
 
 
@@ -546,6 +557,22 @@ class TestIntegerKernel:
                         landed[kind] += isinstance(got, FockState) and not got.is_zero()
         assert all(landed.values()), landed
 
+    def test_axis_product_is_one_quadratic_pass(self, family):
+        # the 24 quadratic terms of omega_M/16 go through one batched pass,
+        # and an axis has no eps_k(-1), eps_k(-2) or eps_k(-1)e^gamma term
+        # that would call the single Heisenberg mode
+        sp = family.space
+        axis = family.axis(0, 0)
+        sp.griess_product(axis, axis)
+        profile = cProfile.Profile()
+        profile.runcall(sp.griess_product, axis, axis)
+        calls = collections.Counter()
+        for (path, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
+            if path.endswith("fock.py"):
+                calls[name] += ncalls
+        assert calls["_quad_modes"] == 1
+        assert calls["_heisenberg"] == 0 and calls["_left_mode"] == 0
+
     @pytest.mark.parametrize("osc", [((1, 0), (1, 1), (1, 2)), ((1, 0), (2, 1)), ((2, 0),)],
                              ids=["e0e1e2", "e0e1(-2)", "e0(-2)e^gamma"])
     def test_left_state_above_weight_two_raises(self, family, osc):
@@ -557,6 +584,23 @@ class TestIntegerKernel:
         for n in range(-1, 4):
             with pytest.raises(NotImplementedError, match="left state exceeds weight 2"):
                 sp.apply_mode(a, n, family.axis(1, 2))
+
+
+def _quadratic_part(s):
+    """The eps_k(-1) eps_l(-1) 1 terms of s."""
+    return FockState({m: c for m, c in s.terms.items() if len(m[0]) == 2})
+
+
+def _random_quadratic(space, rng, coeff, directions, nterms):
+    """A sum of nterms terms c eps_k(-1) eps_l(-1) 1 over a few directions,
+    so that terms share directions; the first has k = l."""
+    s = FockState()
+    for t in range(nterms):
+        k = rng.choice(directions)
+        l = k if t == 0 else rng.choice(directions)
+        s = s + space.oscillator_state(
+            [(unit(space.dim, k), 1), (unit(space.dim, l), 1)], coeff())
+    return s
 
 
 class TestBatchedKernel:
@@ -607,6 +651,59 @@ class TestBatchedKernel:
                 assert got == _outcome(lambda: _reference_apply_mode(sp, a, n, b)), n
                 landed += isinstance(got, FockState) and not got.is_zero()
         assert landed
+
+    def test_quadratic_left_states_match_reference(self, family, cache):
+        # every eps_k(-1) eps_l(-1) 1 term of a left state goes through one
+        # pass over b, so these lefts hold many terms that share directions
+        # and whose contributions must be summed right
+        sp = family.space
+        rng = random.Random(20261023)
+        third_quarter = Q(1, 3) + ZETA * Q(1, 4)
+
+        def coeff():
+            return third_quarter * Q(rng.choice([1, -2, 5]), rng.choice([1, 3, 4]))
+
+        def eps2_sum(space):
+            return sum((space.oscillator_state([(unit(space.dim, k), 2)])
+                        for k in range(space.dim)), FockState())
+
+        cases = [(sp, {
+            "omega_M/16": _quadratic_part(family.axis(0, 0)),
+            "omega_E": sp.virasoro_of_subspace(family.E),
+            "omega_L": sp.virasoro_of_subspace(family.L),
+            "random": _random_quadratic(sp, rng, coeff, [0, 1, 8, 9], 8),
+        }, [family.axis(1, 2), _random_weight2_state(sp, family, rng, 8), sp.vacuum(),
+            eps2_sum(sp)])]
+        for level in (2, 3):
+            space = parafermion_space(level)
+            omega = parafermion_omega((1, -1, 0), level, space)
+            roots = shell(space.lattice, 2, cache).vectors
+            quartic = shell(space.lattice, 4, cache).vectors
+            cases.append((space, {f"parafermion {level}": _quadratic_part(omega)},
+                          [omega, _random_weight2(space, roots, quartic, rng, 8),
+                           space.vacuum(), eps2_sum(space)]))
+        for space, lefts, rights in cases:
+            for kind, a in lefts.items():
+                assert len(a) > 1 and all(len(osc) == 2 for osc, _ in a.terms), kind
+                landed = 0
+                for b in rights:
+                    for n in range(-1, 4):
+                        got = _outcome(lambda: space.apply_mode(a, n, b))
+                        want = _outcome(lambda: _reference_apply_mode(space, a, n, b))
+                        assert got == want, (kind, n)
+                        landed += isinstance(got, FockState) and not got.is_zero()
+                assert landed, kind
+
+    def test_cancelling_quadratic_left_still_raises(self):
+        # at n = 0 both terms land an h(-1) on e^gamma in weight 3, while
+        # the direction they add up to, e_0 (gamma_1 - gamma_2), is zero
+        sp = FockSpace(build_standard("E8"))
+        e = [(unit(8, k), 1) for k in range(3)]
+        a = sp.oscillator_state([e[0], e[1]]) - sp.oscillator_state([e[0], e[2]])
+        b = sp.exp_state((0, 1, 1, 1, 1, 0, 0, 0))
+        with pytest.raises(WeightOverflowError, match="weight 3"):
+            sp.apply_mode(a, 0, b)
+        assert _outcome(lambda: _reference_apply_mode(sp, a, 0, b)) is WeightOverflowError
 
     def test_large_numerators_use_exact_integers(self, family, cache, monkeypatch):
         # numerators beyond 2^31 on both sides: int64 could overflow, so the

@@ -1,9 +1,9 @@
 """Bilinear 2-cocycle fixing the signs of a twisted group algebra.
 
-For an even lattice with ordered basis b_1..b_r the table takes
-eps(b_i,b_j) = <b_i,b_j> mod 2 below the diagonal turned off, on the
-diagonal <b_i,b_i>/2 mod 2, above the diagonal the pairing mod 2, and
-extends bilinearly.  Any bilinear solution of the two congruences
+For an even lattice with ordered basis b_1..b_r the table is the 0/1
+matrix B with <b_i,b_j> mod 2 above the diagonal, <b_i,b_i>/2 mod 2 on
+it and 0 below it, and eps(x,y) = (x mod 2) B (y mod 2) mod 2 on integer
+coordinate vectors.  Any bilinear solution of the two congruences
 
     eps(x,x) = <x,x>/2       (mod 2)
     eps(x,y) - eps(y,x) = <x,y>  (mod 2)
@@ -12,6 +12,9 @@ induces an isomorphic twisted algebra, so the triangular convention is
 a harmless normalization.  On an orthogonal direct sum with the basis
 ordered block by block the table is block-diagonal, which makes the
 cocycle of E8+E8+E8 literally the sum of three E8 cocycles.
+
+This module owns B and that rule: the Fock engine memoizes each
+exponent's `left_half`, and every evaluation here is one array product.
 """
 
 from __future__ import annotations
@@ -21,24 +24,33 @@ from typing import Sequence, Tuple
 from .lattice import Lattice
 
 
-class CocycleTable:
-    """Basis table of cocycle values together with bilinear evaluation."""
+def _mod2(x):
+    """x mod 2 as a 0/1 int64 array.  Anything but a numpy array is read
+    as Python ints and reduced before it becomes int64, so coordinates of
+    any size are exact."""
+    import numpy as np
 
-    def __init__(self, lattice: Lattice, bits: Tuple[Tuple[int, ...], ...]) -> None:
+    a = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
+    return (a % 2).astype(np.int64)
+
+
+class CocycleTable:
+    """The basis table B (an r x r 0/1 int64 array) and the rule eps."""
+
+    def __init__(self, lattice: Lattice, bits) -> None:
         self.lattice = lattice
         self.bits = bits
 
-    def epsilon_coords(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """Bilinear evaluation on integer coordinate vectors (unchecked)."""
-        total = 0
-        for i, xi in enumerate(x):
-            if xi % 2 == 0:
-                continue
-            row = self.bits[i]
-            for j, yj in enumerate(y):
-                if yj % 2 and row[j]:
-                    total ^= 1
-        return total
+    def left_half(self, x):
+        """(x mod 2) B mod 2 for a coordinate vector, or for each row of an
+        array of them."""
+        return _mod2(x) @ self.bits % 2
+
+    def epsilon_coords(self, x, y):
+        """eps on two integer coordinate vectors (an int), or row by row on
+        two equally long arrays of them (a 0/1 array); unchecked."""
+        e = (self.left_half(x) * _mod2(y)).sum(axis=-1) % 2
+        return e if e.ndim else int(e)
 
     def _int_coords(self, v: Sequence) -> Tuple[int, ...]:
         c = self.lattice.coords(v)
@@ -51,33 +63,26 @@ class CocycleTable:
 
 
 def build_epsilon0(L: Lattice) -> CocycleTable:
-    """Upper-triangular cocycle table of an even integral lattice."""
-    g = L.gram
-    bits = []
-    for i in range(L.rank):
-        row = []
-        for j in range(L.rank):
-            v = g.rows[i][j]
-            if v.denominator != 1:
-                raise ValueError(f"{L.label} is not integral")
-            if i < j:
-                row.append(int(v) % 2)
-            elif i == j:
-                if int(v) % 2:
-                    raise ValueError(f"{L.label} is not even")
-                row.append((int(v) // 2) % 2)
-            else:
-                row.append(0)
-        bits.append(tuple(row))
-    return CocycleTable(L, tuple(bits))
+    """Upper-triangular cocycle table of an even integral lattice, read off
+    its integer Gram matrix (lb**2 times the true one)."""
+    import numpy as np
+
+    lb2 = L._int_basis[0] ** 2
+    g = np.array(L._int_gram, dtype=object).reshape(L.rank, L.rank)
+    if (g % lb2).any():
+        raise ValueError(f"{L.label} is not integral")
+    g //= lb2
+    if (g.diagonal() % 2).any():
+        raise ValueError(f"{L.label} is not even")
+    bits = np.triu(g % 2, 1) + np.diag(g.diagonal() // 2 % 2)
+    return CocycleTable(L, bits.astype(np.int64))
 
 
 def verify_triviality(T: CocycleTable, S: Lattice) -> bool:
-    """True when the cocycle vanishes on all basis pairs of the sublattice.
+    """True when the cocycle vanishes on all ordered basis pairs of the
+    sublattice, read off one product of the basis coordinate rows.
 
     Sufficient for triviality on S by bilinearity.
     """
     coords = [T._int_coords(b) for b in S.basis]
-    return all(
-        T.epsilon_coords(x, y) == 0 and T.epsilon_coords(y, x) == 0
-        for x in coords for y in coords)
+    return not (T.left_half(coords) @ _mod2(coords).T % 2).any()

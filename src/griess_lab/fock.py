@@ -254,13 +254,11 @@ class FockSpace:
         # exponent memo: _masks maps an exponent to its row k; row k of
         # _exp_coords holds its doubled coordinates, and row k of _exp_masks
         # its 0/1 column mask (lattice coordinates mod 2) followed by its 0/1
-        # row mask (those times the cocycle table mod 2), so that
+        # row mask (the table's left_half of those), so that
         # eps(beta, gamma) is the parity of row(beta) . column(gamma)
         self._masks: Dict[Gamma, int] = {}
         self._exp_coords = np.zeros((0, self.dim), dtype=np.int64)
         self._exp_masks = np.zeros((0, 2 * lattice.rank), dtype=np.int8)
-        self._bits = np.array(self.cocycle.bits, dtype=np.int64).reshape(lattice.rank,
-                                                                          lattice.rank)
         self._zero = (0,) * self.dim
 
     # -- state constructors ------------------------------------------------
@@ -318,7 +316,7 @@ class FockSpace:
                 table[:size], masks[:size] = self._exp_coords[:size], self._exp_masks[:size]
                 self._exp_coords, self._exp_masks = table, masks
             self._exp_coords[size:end] = new
-            self._exp_masks[size:end] = np.hstack([col, col @ self._bits % 2])
+            self._exp_masks[size:end] = np.hstack([col, self.cocycle.left_half(col)])
             memo.update(zip(new, range(size, end)))
             rows = np.fromiter(map(memo.__getitem__, exps), dtype=np.int64, count=len(exps))
         return rows
@@ -629,14 +627,7 @@ class FockSpace:
         return out.state(s._den * dh * 2)
 
     def exp_mode(self, beta: Sequence, n: int, s: FockState) -> FockState:
-        beta2 = scaled_ints(beta, 2)
-        self._exp_rows([beta2])
-        # (oscillators of b) + 3 halvings, and a monomial of weight <= 2 has
-        # at most two oscillators
-        shift = 2 + 3
-        out = _Accumulator()
-        self._exp_modes(out, [(((), beta2), (1, 0))], n, list(s._nums.items()), shift)
-        return out.state(s._den << shift)
+        return self.apply_mode(self.exp_state(beta), n, s)
 
     def apply_mode(self, a: FockState, n: int, b: FockState) -> FockState:
         b_terms = list(b._nums.items())

@@ -160,6 +160,25 @@ class TestVerifyCommand:
             ("zz.02.good", "pass", "1")]
         assert "checks that raised: zz.01.boom" in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_raising_warm_attribute_exits_three(self, cache_dir, monkeypatch,
+                                                capsys, jobs):
+        # the checks that read the attribute are errors, the rest still run
+        def broken(ctx):
+            raise ArithmeticError("no 3C algebra")
+
+        monkeypatch.setattr(scenarios.SuiteContext, "u3", property(broken))
+        code, out, err = run_main(
+            ["verify", "--suite", "griess-abstract", "--format", "json",
+             "--jobs", jobs, "--cache-dir", cache_dir], capsys)
+        assert code == 3
+        status = {r["id"][:11]: (r["status"], r["computed"])
+                  for r in json.loads(out)["results"]}
+        raised = ("error", "ArithmeticError: no 3C algebra")
+        assert sorted(i for i, got in status.items() if got == raised) == [
+            "abstract.01", "abstract.02", "abstract.08", "abstract.10"]
+        assert [got[0] for got in status.values()].count("pass") == 6
+
     def test_timing_flag(self, cache_dir, capsys):
         argv = ["verify", "--suite", "central-charges", "--format", "json",
                 "--seed", "7", "--cache-dir", cache_dir]

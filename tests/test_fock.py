@@ -212,6 +212,21 @@ class TestExpMode:
         assert got == sp.apply_mode(sp.exp_state(beta), -2, sp.vacuum())
         assert len(got) == 2
 
+    def test_zero_exponent_is_the_identity_mode(self):
+        # e^0 is the vacuum, whose modes are 1_n = delta(n, -1): below -1
+        # they vanish instead of overflowing
+        sp = FockSpace(build_standard("A", 2))
+        s = sp.oscillator_state([((1, -1, 0), 1), ((1, -1, 0), 1)])
+        for n in range(-3, 4):
+            got = sp.exp_mode((0, 0, 0), n, s)
+            assert (got == s) if n == -1 else got.is_zero()
+
+    def test_exponent_above_weight_two_is_rejected(self):
+        sp = FockSpace(build_standard("A", 2))
+        with pytest.raises(WeightOverflowError,
+                           match="exponent norm exceeds the weight cap"):
+            sp.exp_mode((2, -1, -1), 2, sp.exp_state((-1, 0, 1)))
+
 
 class TestGriessProduct:
     def test_full_virasoro_acts_as_two(self, family):

@@ -2,6 +2,7 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -301,6 +302,17 @@ class TestKSublattice:
 
     def test_search_is_deterministic(self, e8, cache):
         assert find_a(e8, cache) == find_a(e8, cache)
+
+    def test_shorter_vectors_never_catch_72_roots(self, e8, cache):
+        # find_a's docstring: no vector of norm 2, 4 or 6 qualifies, since
+        # each pairs to 0 mod 3 with 126, 84 or 78 roots, never 72
+        roots = shell(e8, 2, cache)
+        r = np.array(roots.ints, dtype=np.int64).T
+        for norm, caught in ((2, 126), (4, 84), (6, 78)):
+            sh = shell(e8, norm, cache)
+            dots = np.array(sh.ints, dtype=np.int64) @ r
+            hits = (dots % (3 * sh.scale * roots.scale) == 0).sum(axis=1)
+            assert set(hits.tolist()) == {caught}
 
 
 @pytest.fixture(scope="module")

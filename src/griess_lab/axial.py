@@ -14,13 +14,12 @@ element's matrix is built once, from its basis images.
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .numerics import Matrix, Q, dot
+from .numerics import Matrix, Q, bareiss, dot
 
 Vector = Tuple[Fraction, ...]
 
@@ -448,22 +447,77 @@ def parafermion_central_charge(g: LieData, k: int) -> Fraction:
 # -- bridge from the Fock engine ---------------------------------------------------
 
 
-def griess_table_entries(space, states: Sequence, gram: Matrix
+def griess_table_entries(space, states: Sequence
                          ) -> Iterator[Tuple[int, int, Optional[Vector]]]:
     """Yield (i, j, coefficients of states[i].states[j] in the states) for
-    j <= i, read off through the form and the Gram matrix; the coefficients
-    are None when the product leaves the span of the states."""
-    for i in range(len(states)):
+    j <= i; the coefficients are None when the product leaves the rational
+    span of the states, and linearly dependent states raise ValueError.
+
+    Over the states' common denominator L, the re or zc part of each
+    monomial is an integer row over the states.  The first len(states)
+    rows that raise the rank form an invertible minor, so a product's
+    numerators at those pivots fix its only candidate coefficients, which
+    one integer recombination over every monomial confirms or rejects."""
+    n = len(states)
+    if not n:
+        return
+    L = math.lcm(*(s._den for s in states))
+    # per monomial, (k, re, zc) over L for each state k that holds it
+    support: Dict[object, List[Tuple[int, int, int]]] = {}
+    for k, s in enumerate(states):
+        f = L // s._den
+        for mono, (r, z) in s._nums.items():
+            support.setdefault(mono, []).append((k, r * f, z * f))
+    pivots: List[Tuple[object, int]] = []
+    minor: List[Tuple[int, ...]] = []
+    tried: Set[Tuple[int, ...]] = set()  # a row that once failed fails again
+    for mono, part, row in _part_rows(support, n):
+        if len(minor) == n:
+            break
+        if row not in tried:
+            tried.add(row)
+            if len(bareiss(minor + [row])[1]) > len(minor):
+                pivots.append((mono, part))
+                minor.append(row)
+    if len(minor) < n:
+        raise ValueError("states are linearly dependent")
+    # red = d [I | minor^-1], d being the last pivot (+-det of the minor)
+    red = bareiss([row + tuple(int(k == c) for c in range(n))
+                   for k, row in enumerate(minor)])[0]
+    d, adj = red[0][0], [row[n:] for row in red]
+    for i in range(n):
         for j in range(i + 1):
             prod = space.griess_product(states[i], states[j])
-            rhs = tuple(space.invariant_form(prod, s).rational_part() for s in states)
-            coeffs = gram.solve(rhs)
-            if coeffs is not None:
-                recombined = reduce(operator.add,
-                                    (s.scale(c) for s, c in zip(states, coeffs)))
-                if recombined != prod:
-                    coeffs = None
-            yield i, j, None if coeffs is None else tuple(coeffs)
+            at = [prod._nums.get(mono, (0, 0))[part] for mono, part in pivots]
+            coeffs = tuple(Fraction(dot(row, at) * L, d * prod._den) for row in adj)
+            yield i, j, coeffs if _recombines(support, coeffs, L, prod) else None
+
+
+def _part_rows(support: Dict[object, List[Tuple[int, int, int]]], n: int
+               ) -> Iterator[Tuple[object, int, Tuple[int, ...]]]:
+    """(monomial, part, row of that part over the n states), part 0 for re
+    and 1 for zc, in the order of support."""
+    for mono, held in support.items():
+        for part in (0, 1):
+            row = [0] * n
+            for entry in held:
+                row[entry[0]] = entry[1 + part]
+            yield mono, part, tuple(row)
+
+
+def _recombines(support: Dict[object, List[Tuple[int, int, int]]],
+                coeffs: Vector, L: int, prod) -> bool:
+    """Whether sum coeffs[k] states[k] is prod, compared in integers over
+    one denominator on every monomial of either side."""
+    q = math.lcm(*(c.denominator for c in coeffs))
+    a = [c.numerator * (q // c.denominator) for c in coeffs]
+    ours, theirs, nums = q * L, prod._den, prod._nums
+    for mono, held in support.items():
+        r, z = nums.get(mono, (0, 0))
+        if (sum(a[k] * x for k, x, _ in held) * theirs != r * ours
+                or sum(a[k] * y for k, _, y in held) * theirs != z * ours):
+            return False
+    return all(mono in support for mono in nums)
 
 
 def algebra_from_griess(space, states: Sequence, labels: Sequence[str]
@@ -471,12 +525,12 @@ def algebra_from_griess(space, states: Sequence, labels: Sequence[str]
     """Structure constants of a list of weight-2 states that close under
     the Griess product, with exact closure verification."""
     d = len(states)
-    gram_rows = [[space.invariant_form(states[i], states[j]).rational_part()
-                  for j in range(d)] for i in range(d)]
     table: List[List[Vector]] = [[] for _ in range(d)]
-    for i, _, coeffs in griess_table_entries(space, states, Matrix(gram_rows)):
+    for i, _, coeffs in griess_table_entries(space, states):
         if coeffs is None:
             raise ValueError("product escapes the span of the given states")
         table[i].append(coeffs)
+    gram_rows = [[space.invariant_form(states[i], states[j]).rational_part()
+                  for j in range(d)] for i in range(d)]
     full = [[table[max(i, j)][min(i, j)] for j in range(d)] for i in range(d)]
     return StructureAlgebra(labels, full, gram_rows)

@@ -255,8 +255,10 @@ class FockSpace:
         # _exp_coords holds its doubled coordinates, and row k of _exp_masks
         # its 0/1 column mask (lattice coordinates mod 2) followed by its 0/1
         # row mask (the table's left_half of those), so that
-        # eps(beta, gamma) is the parity of row(beta) . column(gamma)
+        # eps(beta, gamma) is the parity of row(beta) . column(gamma);
+        # _exp_max is the largest |doubled coordinate| in the memo
         self._masks: Dict[Gamma, int] = {}
+        self._exp_max = 0
         self._exp_coords = np.zeros((0, self.dim), dtype=np.int64)
         self._exp_masks = np.zeros((0, 2 * lattice.rank), dtype=np.int8)
         self._zero = (0,) * self.dim
@@ -316,6 +318,7 @@ class FockSpace:
                 table[:size], masks[:size] = self._exp_coords[:size], self._exp_masks[:size]
                 self._exp_coords, self._exp_masks = table, masks
             self._exp_coords[size:end] = new
+            self._exp_max = max(self._exp_max, int(np.abs(self._exp_coords[size:end]).max()))
             self._exp_masks[size:end] = np.hstack([col, self.cocycle.left_half(col)])
             memo.update(zip(new, range(size, end)))
             rows = np.fromiter(map(memo.__getitem__, exps), dtype=np.int64, count=len(exps))
@@ -370,9 +373,10 @@ class FockSpace:
 
         A pair (e^beta, monomial of b) can land a term only when
         d_max = -n - 1 - <beta, gamma> + W >= 0, W being the monomial's
-        oscillator weight.  All pairings come from one exact int64 product
-        of the doubled exponents (4 <beta, gamma>), and the pairs that pass
-        the test are expanded together: each meets every contraction subset
+        oscillator weight.  All pairings come from one exact product of
+        the doubled exponents (4 <beta, gamma>), all cocycle signs from one
+        product of their masks, and the pairs that pass the test are
+        expanded together: each meets every contraction subset
         of its monomial, and a landing carries -beta_k for each contracted
         oscillator and a creation layer of weight d.  Landings that share
         (remaining oscillators, beta + gamma, d) are summed first, so each
@@ -386,8 +390,12 @@ class FockSpace:
         oscs, gammas = zip(*monos)
         ib = self._exp_rows(gammas)
         A, B = self._exp_coords[ia], self._exp_coords[ib]
-        S = A @ B.T
-        if (S % 4).any():
+        # float64 BLAS is exact while every partial sum stays below 2**53
+        if self._exp_max ** 2 * self.dim < 1 << 53:
+            S = (A.astype(np.float64) @ B.T.astype(np.float64)).astype(np.int64)
+        else:
+            S = A @ B.T
+        if (S & 3).any():
             raise ValueError("non-integral pairing between exponents")
         index = {osc: i for i, osc in enumerate(dict.fromkeys(oscs))}
         part = np.fromiter(map(index.__getitem__, oscs), dtype=np.int64, count=len(oscs))
@@ -424,10 +432,15 @@ class FockSpace:
         if (room < 0).any():
             raise ValueError("negative shift count")
 
-        sign = self._signs(ia[rows], ib[cols])
         # only the monomials of b that some pair reaches are read from here on
         used, cu = np.unique(cols, return_inverse=True)
         b_pairs = [pairs[j] for j in used.tolist()]
+        # the cocycle parities of those pairs in one float64 product (exact:
+        # each is a count <= rank), read at the pairs that pass
+        rank = self.lattice.rank
+        masks = self._exp_masks
+        parity = masks[ia, rank:].astype(np.float64) @ masks[ib[used], :rank].T.astype(np.float64)
+        sign = 1 - 2 * (parity[rows, cu].astype(np.int64) & 1)
 
         # int64 unless a bound on every product and sum below could overflow it
         ca = max(abs(r) + abs(z) for _, (r, z) in a_exp)
@@ -442,11 +455,11 @@ class FockSpace:
 
         # group by (remaining oscillators, beta + gamma, d); a landed exponent
         # has norm <= 4, so its doubled coordinates lie in [-4, 4] and pack
-        # exactly into 4-bit digits, 15 to an int64
-        joined = A[ri] + B[ci]
+        # exactly into 4-bit digits, 15 to an int64; the packing is linear,
+        # so each landing's key is a sum of one key of A and one of B
         digits = np.left_shift(1, 4 * np.arange(15, dtype=np.int64))
-        keys = [(joined[:, c:c + 15] + 4) @ digits[:min(15, self.dim - c)]
-                for c in range(0, self.dim, 15)]
+        keys = [((A[:, c:c + 15] + 4) @ dg)[ri] + (B[:, c:c + 15] @ dg)[ci]
+                for c in range(0, self.dim, 15) for dg in [digits[:min(15, self.dim - c)]]]
         first, inv = _group(keys + [rest[sub] * 3 + d])
         s_re = np.zeros(first.size, dtype=dtype)
         s_zc = np.zeros(first.size, dtype=dtype)
@@ -470,8 +483,10 @@ class FockSpace:
         live = np.flatnonzero(np.where(
             lead == 0, (s_re != 0) | (s_zc != 0),
             (lead == 2) | (v_re != 0).any(axis=1) | (v_zc != 0).any(axis=1)))
-        for g, osc_id, dg, g2 in zip(live.tolist(), rest[sub[first[live]]].tolist(),
-                                     lead[live].tolist(), joined[first[live]].tolist()):
+        lead_at = first[live]
+        joined = A[ri[lead_at]] + B[ci[lead_at]]
+        for g, osc_id, dg, g2 in zip(live.tolist(), rest[sub[lead_at]].tolist(),
+                                     lead[live].tolist(), joined.tolist()):
             if dg == 0:
                 sums = (s_re[g], s_zc[g])
             elif dg == 1:

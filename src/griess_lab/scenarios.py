@@ -203,7 +203,7 @@ class SuiteContext:
                    for i in range(9) for j in range(9)
                    if gram.rows[i][j] != g9.gram.rows[i][j]]
         table_mm = []
-        for i, j, coeffs in griess_table_entries(sp, axes, gram):
+        for i, j, coeffs in griess_table_entries(sp, axes):
             if coeffs is None:
                 table_mm.append((i, j, "outside the axis span",
                                  render(g9.table[i][j])))

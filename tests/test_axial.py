@@ -1,7 +1,9 @@
 """Tests for the structure-constant algebras, Miyamoto involutions and
 group closure, and the bridge from the Fock engine."""
 
+import operator
 from fractions import Fraction as Q
+from functools import reduce
 
 import pytest
 
@@ -19,6 +21,7 @@ from griess_lab.axial import (
     build_G9,
     certify_virasoro,
     check_a_products,
+    griess_table_entries,
     group_closure,
     highest_weight_check,
     lie_algebra,
@@ -29,7 +32,8 @@ from griess_lab.axial import (
     standard_frame,
     verify_automorphism,
 )
-from griess_lab.numerics import Matrix
+from griess_lab.fock import FockSpace
+from griess_lab.numerics import ZETA, Matrix
 
 
 def vsub(x, y):
@@ -437,7 +441,80 @@ class TestCentralCharges:
         assert parafermion_central_charge(lie_algebra("A", 1), 9) == Q(16, 11)
 
 
+# the 12 lines of AG(2,3) on the axis labels (i, j)
+AG3_ALL_LINES = (
+    ((0, 0), (0, 1), (0, 2)), ((0, 0), (1, 0), (2, 0)), ((0, 0), (1, 1), (2, 2)),
+    ((0, 0), (1, 2), (2, 1)), ((0, 1), (1, 0), (2, 2)), ((0, 1), (1, 1), (2, 1)),
+    ((0, 1), (1, 2), (2, 0)), ((0, 2), (1, 0), (2, 1)), ((0, 2), (1, 1), (2, 0)),
+    ((0, 2), (1, 2), (2, 2)), ((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1), (2, 2)),
+)
+
+
+def reference_table_entries(space, states):
+    """The form -> solve -> recombine loop: rational c with sum_k c_k
+    <s_k, t> = <prod, t> for every state t, each pairing split into its
+    rational and zeta parts, kept only when the states recombine to the
+    product."""
+    forms = [[space.invariant_form(s, t) for s in states] for t in states]
+    gram = Matrix([[f.re for f in row] for row in forms]
+                  + [[f.zc for f in row] for row in forms])
+    for i in range(len(states)):
+        for j in range(i + 1):
+            prod = space.griess_product(states[i], states[j])
+            rhs = [space.invariant_form(prod, t) for t in states]
+            coeffs = gram.solve([f.re for f in rhs] + [f.zc for f in rhs])
+            if coeffs is not None:
+                recombined = reduce(operator.add,
+                                    (s.scale(c) for s, c in zip(states, coeffs)))
+                if recombined != prod:
+                    coeffs = None
+            yield i, j, coeffs
+
+
 class TestBridgeFromFock:
+    def test_nine_axis_entries_match_the_form_reference(self, family):
+        axes = [family.axis(i, j) for i in range(3) for j in range(3)]
+        got = list(griess_table_entries(family.space, axes))
+        assert len(got) == 45
+        assert got == list(reference_table_entries(family.space, axes))
+        g9 = build_G9()
+        assert all(coeffs == g9.table[i][j] for i, j, coeffs in got)
+
+    @pytest.mark.parametrize("line", AG3_ALL_LINES)
+    def test_line_entries_match_the_form_reference(self, family, line):
+        states = [family.axis(i, j) for i, j in line]
+        got = list(griess_table_entries(family.space, states))
+        assert got == list(reference_table_entries(family.space, states))
+        assert None not in [coeffs for _, _, coeffs in got]
+
+    def test_zeta_scaled_axis_leaves_the_rational_span(self, family):
+        # e01 zeta . e00 = (zeta/32)(e00 + e01 - e02): in the span over
+        # Q(zeta), but not over Q
+        states = [family.axis(0, 0), family.axis(0, 1).scale(ZETA), family.axis(0, 2)]
+        for entries in (griess_table_entries, reference_table_entries):
+            got = {(i, j): coeffs for i, j, coeffs in entries(family.space, states)}
+            assert got[(0, 0)] == (2, 0, 0)
+            assert got[(1, 0)] is None
+        with pytest.raises(ValueError, match="escapes the span"):
+            algebra_from_griess(family.space, states, ["p", "q", "r"])
+
+    def test_entries_make_no_form_or_solve_call(self, family, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("called on the table path")
+
+        monkeypatch.setattr(FockSpace, "invariant_form", forbidden)
+        monkeypatch.setattr(Matrix, "solve", forbidden)
+        states = [family.axis(i, j) for i, j in AG3_ALL_LINES[4]]
+        got = list(griess_table_entries(family.space, states))
+        assert [coeffs for _, _, coeffs in got] == [
+            (2, 0, 0), (Q(1, 32), Q(1, 32), Q(-1, 32)), (0, 2, 0),
+            (Q(1, 32), Q(-1, 32), Q(1, 32)), (Q(-1, 32), Q(1, 32), Q(1, 32)), (0, 0, 2)]
+
+    def test_dependent_states_raise(self, family):
+        e00 = family.axis(0, 0)
+        with pytest.raises(ValueError, match="states are linearly dependent"):
+            list(griess_table_entries(family.space, [e00, e00]))
+
     def test_first_row_realizes_the_three_axis_algebra(self, family, u3):
         states = [family.axis(0, j) for j in range(3)]
         realized = algebra_from_griess(family.space, states, ["e0", "e1", "e2"])

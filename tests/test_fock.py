@@ -221,6 +221,17 @@ class TestExpMode:
             got = sp.exp_mode((0, 0, 0), n, s)
             assert (got == s) if n == -1 else got.is_zero()
 
+    @pytest.mark.parametrize("m", [2 ** 20, 2 ** 26, 2 ** 28 + 2])
+    def test_pairing_is_exact_past_the_float_range(self, m):
+        # e^b_n e^-b for b = (m, 0) is the vacuum at n = |b|^2 - 1 only if
+        # the pairing of the doubled exponents is exact: m = 2^20 takes the
+        # float64 product, m = 2^26 the int64 one, and m = 2^28 + 2, whose
+        # pairing -(2^29 + 4)^2 float64 would round, the int64 one too
+        sp = FockSpace(Lattice("big", [[m, 0], [0, 2]]))
+        got = sp.apply_mode(FockState({((), (2 * m, 0)): 1}), m * m - 1,
+                            FockState({((), (-2 * m, 0)): 1}))
+        assert got == sp.vacuum()
+
     def test_exponent_above_weight_two_is_rejected(self):
         sp = FockSpace(build_standard("A", 2))
         with pytest.raises(WeightOverflowError,

@@ -5,8 +5,10 @@ matrix of the invariant form, all over the rationals, and validates the
 commutativity and form-associativity laws on construction.  On top of that
 live the two concrete algebras of interest (the 3-dimensional 3C algebra
 and its 9-dimensional sibling spanned by nine pairwise 3C axes), Virasoro
-certification, adjoint spectra, the Miyamoto involutions, finite matrix
-groups, and central-charge bookkeeping for affine and parafermion cosets.
+certification, adjoint spectra, the Miyamoto involutions (each a
+reflection I - 2P in an eigenprojection P of an axis adjoint, a polynomial
+in the adjoint), finite matrix groups, and central-charge bookkeeping for
+affine and parafermion cosets.
 A finite matrix group is closed, and its orders and conjugacy checked, on
 the permutations it induces on the orbit of the standard basis; each
 element's matrix is built once, from its basis images.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .numerics import Matrix, Q, bareiss, dot
@@ -25,6 +28,7 @@ Vector = Tuple[Fraction, ...]
 
 HALF = Q(1, 2)
 SIXTEENTH = Q(1, 16)
+FUSION = (Q(2), Q(0), HALF, SIXTEENTH)  # the Ising adjoint spectrum
 
 
 def _vec(x: Sequence) -> Vector:
@@ -210,63 +214,57 @@ def check_a_products(A: StructureAlgebra) -> Dict[Tuple[int, int], bool]:
     return report
 
 
-def adjoint(A: StructureAlgebra, v: Sequence) -> LinearEndo:
+def adjoint(A: StructureAlgebra, v: Sequence) -> Matrix:
     v = _vec(v)
     cols = [A.multiply(v, A.unit(j)) for j in range(A.dim)]
-    rows = [[cols[j][i] for j in range(A.dim)] for i in range(A.dim)]
-    return LinearEndo(Matrix(rows))
+    return Matrix(list(zip(*cols)))
 
 
-def adjoint_eigenspaces(A: StructureAlgebra, v: Sequence) -> Dict[Fraction, List[Vector]]:
-    m = adjoint(A, v).matrix
-    spaces = {}
-    for lam in (Q(2), Q(0), HALF, SIXTEENTH):
-        basis = m.eigenspace(lam)
-        if basis:
-            spaces[lam] = [tuple(b) for b in basis]
-    return spaces
+def _affine(m: Matrix, s: Fraction, c: Fraction) -> Matrix:
+    """s m + c I"""
+    return Matrix([[s * x + c if i == j else s * x for j, x in enumerate(r)]
+                   for i, r in enumerate(m.rows)])
 
 
-def _involution_from_split(A: StructureAlgebra, plus: List[Vector],
-                           minus: List[Vector]) -> Matrix:
-    cols = [list(v) for v in plus + minus]
-    p = Matrix([[cols[j][i] for j in range(len(cols))] for i in range(A.dim)])
-    signs = [Q(1)] * len(plus) + [Q(-1)] * len(minus)
-    d = Matrix([[signs[i] if i == j else Q(0) for j in range(len(cols))]
-                for i in range(len(cols))])
-    return p.matmul(d).matmul(p.inverse())
+def adjoint_spectrum(A: StructureAlgebra, v: Sequence) -> Dict[Fraction, int]:
+    """Dimension of each nonzero eigenspace of the adjoint of v, over the
+    Ising fusion eigenvalues {2, 0, 1/2, 1/16}."""
+    ad = adjoint(A, v)
+    dims = {lam: A.dim - _affine(ad, 1, -lam).rank() for lam in FUSION}
+    return {lam: n for lam, n in dims.items() if n}
 
 
-def _axis_eigenspaces(A: StructureAlgebra, e: Sequence) -> Dict[Fraction, List[Vector]]:
-    """The adjoint eigenspaces of a central charge 1/2 axis, which must
-    span the algebra."""
+def _eigenprojection(A: StructureAlgebra, e: Sequence, lam: Fraction) -> Matrix:
+    """prod_{mu != lam} (ad_e - mu) / (lam - mu) over mu in FUSION, the
+    projection onto the lam-eigenspace of the adjoint of a central charge
+    1/2 axis e whose eigenspaces span the algebra, i.e. for which
+    prod_mu (ad_e - mu) = 0."""
     if certify_virasoro(A, e) != HALF:
         raise ValueError("axis must be idempotent of central charge 1/2")
-    spaces = adjoint_eigenspaces(A, e)
-    if sum(len(b) for b in spaces.values()) != A.dim:
+    ad = adjoint(A, e)
+    others = [mu for mu in FUSION if mu != lam]
+    p = reduce(Matrix.matmul, (_affine(ad, 1, -mu) for mu in others))
+    if any(map(any, _affine(ad, 1, -lam).matmul(p).rows)):
         raise ValueError("adjoint eigenvalues outside {2, 0, 1/2, 1/16}")
-    return spaces
+    return _affine(p, 1 / math.prod(lam - mu for mu in others), 0)
 
 
 def miyamoto_tau(A: StructureAlgebra, e: Sequence) -> LinearEndo:
-    """Involution acting as -1 on the 1/16 part of the adjoint of an axis."""
-    spaces = _axis_eigenspaces(A, e)
-    plus = [v for lam in (Q(2), Q(0), HALF) for v in spaces.get(lam, [])]
-    minus = list(spaces.get(SIXTEENTH, []))
-    return as_automorphism(A, _involution_from_split(A, plus, minus))
+    """Involution acting as -1 on the 1/16 part of the adjoint of an axis:
+    I - 2 P_1/16."""
+    return as_automorphism(A, _affine(_eigenprojection(A, e, SIXTEENTH), -2, 1))
 
 
 def miyamoto_sigma(A: StructureAlgebra, e: Sequence) -> LinearEndo:
     """Involution of the tau-fixed subalgebra: -1 on the 1/2 part,
-    extended by the identity elsewhere."""
-    spaces = _axis_eigenspaces(A, e)
-    plus = [v for lam in (Q(2), Q(0), SIXTEENTH) for v in spaces.get(lam, [])]
-    minus = list(spaces.get(HALF, []))
-    m = _involution_from_split(A, plus, minus)
-    fixed = [v for lam in (Q(2), Q(0), HALF) for v in spaces.get(lam, [])]
+    extended by the identity elsewhere, I - 2 P_1/2."""
+    m = _affine(_eigenprojection(A, e, HALF), -2, 1)
+    # the columns of I - P_1/16 span the tau-fixed subalgebra
+    keep = _affine(_eigenprojection(A, e, SIXTEENTH), -1, 1).transpose().rows
+    fixed = list(dict.fromkeys(c for c in keep if any(c)))
     images = [m.matvec(x) for x in fixed]
-    for x, tx in zip(fixed, images):
-        for y, ty in zip(fixed, images):
+    for i, (x, tx) in enumerate(zip(fixed, images)):
+        for y, ty in zip(fixed[i:], images[i:]):
             if A.multiply(tx, ty) != m.matvec(A.multiply(x, y)):
                 raise ValueError("sigma fails to preserve the fixed subalgebra")
             if A.form(tx, ty) != A.form(x, y):

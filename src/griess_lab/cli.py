@@ -101,9 +101,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                        progress=report_progress if args.progress else None)
     sys.stdout.write(emit_report(report, args.format, timing=args.timing))
     if not report.ok:
-        sys.stderr.write("failing checks: " + ", ".join(report.failures) + "\n")
+        sys.stderr.write("failing checks: "
+                         + ", ".join(r.id for r in report.failures) + "\n")
     if report.errors:
-        sys.stderr.write("checks that raised: " + ", ".join(report.errors) + "\n")
+        sys.stderr.write("checks that raised: "
+                         + ", ".join(r.id for r in report.errors) + "\n")
         return EXIT_CHECK_ERROR
     return 0 if report.ok else 1
 

@@ -749,25 +749,6 @@ class FockSpace:
             out[(osc, neg)] = (r, z) if len(osc) % 2 == 0 else (-r, -z)
         return FockState._of(s._den, out)
 
-    def translate(self, s: FockState) -> FockState:
-        """L(-1) on weight <= 1 states."""
-        # over twice the denominator, as gamma_k = g2[k] / 2
-        out = _Accumulator()
-        for (osc, g2), (r, z) in s._nums.items():
-            w8 = _wt8((osc, g2))
-            if w8 == 0:
-                continue
-            if w8 > 8:
-                raise WeightOverflowError("translation is only available below weight 2")
-            if osc:
-                (n, k) = osc[0]
-                out.add((((n + 1, k),), g2), 2 * n * r, 2 * n * z)
-                continue
-            for k, x in enumerate(g2):
-                if x:
-                    out.add((((1, k),), g2), x * r, x * z)
-        return out.state(2 * s._den)
-
     # -- serialization -----------------------------------------------------------
 
     def dump_state(self, s: FockState) -> str:

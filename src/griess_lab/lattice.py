@@ -3,8 +3,8 @@
 A lattice is stored as a row basis over Q.  All norms and inner
 products come from the ambient standard inner product; the interesting
 lattices here are the even-coordinate model of E8, its triple direct
-sum, root lattices A_n, tensor products, and the index-3 sublattice of
-E8 isometric to A8 together with its glue structure.
+sum, root lattices A_n, and the index-3 sublattice of E8 isometric to
+A8 together with its glue structure.
 
 Shell enumeration (all vectors of a prescribed norm) is exact: the
 steps of the fraction-free elimination of the integer Gram matrix (the
@@ -232,15 +232,6 @@ def direct_sum(parts: Sequence[Lattice], label: Optional[str] = None) -> Lattice
     return Lattice(label or "+".join(p.label for p in parts), basis)
 
 
-def tensor_product(A: Lattice, B: Lattice, label: Optional[str] = None) -> Lattice:
-    """Tensor product with basis a_i (x) b_j in i-major order."""
-    basis = []
-    for a in A.basis:
-        for b in B.basis:
-            basis.append([x * y for x in a for y in b])
-    return Lattice(label or f"{A.label}x{B.label}", basis)
-
-
 def block_embed(v: Sequence, block: int, nblocks: int) -> QVec:
     """Place v into the given block of an nblocks-fold ambient space."""
     vq = _qvec(v)
@@ -445,30 +436,6 @@ def shell(L: Lattice, norm, cache: Optional["DiskCache"] = None) -> Shell:
     if cache is not None:
         cache.store_shell(sh, L._digest)
     return sh
-
-
-def shell_brute_force(L: Lattice, norm) -> Shell:
-    """Independent box-search oracle; exponential in the rank, tests only."""
-    norm = Fraction(norm)
-    lb = L._int_basis[0]
-    ginv = L.gram.inverse()
-    bounds = []
-    for i in range(L.rank):
-        t = norm * ginv.rows[i][i]
-        bounds.append(math.isqrt(math.ceil(t)) + 1)
-    vectors = []
-    def rec(i: int, coords: List[int]) -> None:
-        if i == L.rank:
-            v = tuple(L._combine(coords))
-            if dot(v, v) == norm * lb * lb and any(coords):
-                vectors.append(v)
-            return
-        for c in range(-bounds[i], bounds[i] + 1):
-            coords.append(c)
-            rec(i + 1, coords)
-            coords.pop()
-    rec(0, [])
-    return Shell(L.label, norm, tuple(sorted(vectors)), lb)
 
 
 # ---------------------------------------------------------------------------
@@ -680,20 +647,16 @@ def coset_decomposition_A26(cache: Optional["DiskCache"] = None) -> CosetSystem:
             base = tuple(-Fraction(1, 9) * (i * x + j * y_) for x, y_ in zip(mu1, mu2))
             g = tuple(a + b + c for a, b, c in zip(base, nu1(glue_vector(8, i)), nu2(glue_vector(8, j))))
             reps.append(g)
-    system = CosetSystem(a26, sub, tuple(reps), idx)
-
+    # verified on every call: a cache file only records the result
+    system = CosetSystem(a26, sub, tuple(reps), idx).verify()
     if cache is not None:
         try:
             cached = cache.load_cosets(a26.label, sub.label)
         except ValueError:
-            cached = None  # a damaged file is verified afresh and rewritten
+            cached = None  # a damaged file is rewritten
         # so is one whose representatives are not the constructed ones
-        if cached == system.representatives:
-            system.verified = True
-            return system
-    system.verify()
-    if cache is not None:
-        cache.store_cosets(a26.label, sub.label, system.representatives)
+        if cached != system.representatives:
+            cache.store_cosets(a26.label, sub.label, system.representatives)
     return system
 
 

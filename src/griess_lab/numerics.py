@@ -8,11 +8,11 @@ Two scalar domains are used throughout the package:
   subject to zeta**2 = -1 - zeta.
 
 On top of these sits a small dense matrix toolkit over the rationals
-(reduced row echelon form, kernel, solving, inverse, determinant,
-eigenspaces for a supplied eigenvalue).  All of it runs on one exact
-elimination, :func:`bareiss`, a fraction-free integer pass that the
-callers feed with their rationals scaled to integers by
-:func:`_common_scale`.  No floating point is ever produced.
+(products, reduced row echelon form, rank, solving, inverse,
+determinant).  All of it runs on one exact elimination, :func:`bareiss`,
+a fraction-free integer pass that the callers feed with their rationals
+scaled to integers by :func:`_common_scale`.  No floating point is ever
+produced.
 """
 
 from __future__ import annotations
@@ -282,20 +282,6 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def kernel_basis(self) -> List[Vector]:
-        """A basis of the right kernel {x : M x = 0}, one vector per free column."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis: List[Vector] = []
-        for fc in free:
-            v: List[Scalar] = [Q(0)] * self.ncols
-            v[fc] = Q(1)
-            for i, pc in enumerate(pivots):
-                v[pc] = -red.rows[i][fc]
-            basis.append(tuple(v))
-        return basis
-
     def solve(self, b: Sequence[Union[int, Fraction]]) -> Optional[Vector]:
         """One solution x of M x = b, or None when the system is inconsistent."""
         if len(b) != self.nrows:
@@ -326,16 +312,6 @@ class Matrix:
         scaled = [_common_scale(r) for r in self.rows]
         return Fraction(bareiss([n for n, _ in scaled])[2],
                         math.prod(s for _, s in scaled))
-
-    def eigenspace(self, lam: Union[int, Fraction]) -> List[Vector]:
-        """Basis of the eigenspace for the supplied eigenvalue lam (possibly empty)."""
-        if self.nrows != self.ncols:
-            raise ValueError("not square")
-        shifted = Matrix([
-            [e - lam if i == j else e for j, e in enumerate(row)]
-            for i, row in enumerate(self.rows)
-        ])
-        return shifted.kernel_basis()
 
 
 def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .axial import (
     AG3_LINES,
-    adjoint_eigenspaces,
+    adjoint_spectrum,
     affine_central_charge,
     axis_vector,
     build_3C,
@@ -103,12 +103,12 @@ class VerificationReport:
         return all(r.ok for r in self.results)
 
     @property
-    def failures(self) -> Tuple[str, ...]:
-        return tuple(r.id for r in self.results if not r.ok)
+    def failures(self) -> Tuple[CheckResult, ...]:
+        return tuple(r for r in self.results if not r.ok)
 
     @property
-    def errors(self) -> Tuple[str, ...]:
-        return tuple(r.id for r in self.results if r.status == "error")
+    def errors(self) -> Tuple[CheckResult, ...]:
+        return tuple(r for r in self.results if r.status == "error")
 
 
 def render(value) -> str:
@@ -338,11 +338,8 @@ def _highest_weight_triples(ctx):
         "axis adjoints have eigenvalue multiplicities {2:1, 0:4, 1/16:4} on "
         "nine axes and {2:1, 0:1, 1/16:1} on three", PROV_FROZEN, warm=("g9", "u3"))
 def _adjoint_spectra(ctx):
-    nine = {lam: len(b)
-            for lam, b in adjoint_eigenspaces(ctx.g9, ctx.g9.unit(0)).items()}
-    three = {lam: len(b)
-             for lam, b in adjoint_eigenspaces(ctx.u3, ctx.u3.unit(0)).items()}
-    return ((nine, three),
+    return ((adjoint_spectrum(ctx.g9, ctx.g9.unit(0)),
+             adjoint_spectrum(ctx.u3, ctx.u3.unit(0))),
             ({Q(2): 1, Q(0): 4, Q(1, 16): 4}, {Q(2): 1, Q(0): 1, Q(1, 16): 1}))
 
 

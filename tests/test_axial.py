@@ -12,7 +12,7 @@ from griess_lab.axial import (
     LinearEndo,
     StructureAlgebra,
     adjoint,
-    adjoint_eigenspaces,
+    adjoint_spectrum,
     affine_central_charge,
     algebra_from_griess,
     as_automorphism,
@@ -104,14 +104,12 @@ class TestThreeAxes:
         assert not any(u3.multiply(u3.unit(0), a))
 
     def test_adjoint_spectrum(self, u3):
-        spaces = adjoint_eigenspaces(u3, u3.unit(0))
-        assert {lam: len(b) for lam, b in spaces.items()} == {
-            Q(2): 1, Q(0): 1, Q(1, 16): 1}
+        assert adjoint_spectrum(u3, u3.unit(0)) == {Q(2): 1, Q(0): 1, Q(1, 16): 1}
 
     def test_difference_is_sixteenth_eigenvector(self, u3):
         v = vsub(u3.unit(1), u3.unit(2))
         ad = adjoint(u3, u3.unit(0))
-        assert ad.matrix.matvec(v) == tuple(Q(1, 16) * x for x in v)
+        assert ad.matvec(v) == tuple(Q(1, 16) * x for x in v)
 
     def test_tau_swaps_other_axes(self, u3):
         tau = miyamoto_tau(u3, u3.unit(0))
@@ -159,9 +157,7 @@ class TestNineAxes:
         assert all(report.values())
 
     def test_adjoint_spectrum_has_no_half(self, g9):
-        spaces = adjoint_eigenspaces(g9, g9.unit(0))
-        assert {lam: len(b) for lam, b in spaces.items()} == {
-            Q(2): 1, Q(0): 4, Q(1, 16): 4}
+        assert adjoint_spectrum(g9, g9.unit(0)) == {Q(2): 1, Q(0): 4, Q(1, 16): 4}
 
     def test_standard_frame(self, g9):
         e00, a1, b1 = standard_frame(g9)
@@ -230,6 +226,18 @@ class TestMiyamoto:
         assert sig.matrix == Matrix.identity(9)
         assert sig.automorphism
 
+    def test_sigma_negates_the_half_eigenspace(self):
+        # e x = x/2 and x x = 2e: an axis with a 1/2-eigenvector, where
+        # sigma is not the identity and tau is
+        table = [[[2, 0], [0, Q(1, 2)]], [[0, Q(1, 2)], [2, 0]]]
+        half = StructureAlgebra(["e", "x"], table, [[Q(1, 4), 0], [0, 1]])
+        e = half.unit(0)
+        assert adjoint_spectrum(half, e) == {Q(2): 1, Q(1, 2): 1}
+        sig = miyamoto_sigma(half, e)
+        assert sig.matrix == Matrix([[1, 0], [0, -1]])
+        assert sig.automorphism
+        assert miyamoto_tau(half, e).matrix == Matrix.identity(2)
+
     def test_rejects_wrong_central_charge(self, g9):
         omega = tuple(Q(8, 9) for _ in range(9))
         with pytest.raises(ValueError, match="central charge 1/2"):
@@ -244,6 +252,42 @@ class TestMiyamoto:
         assert certify_virasoro(odd, odd.unit(0)) == Q(1, 2)
         with pytest.raises(ValueError, match="eigenvalues outside"):
             miyamoto_tau(odd, odd.unit(0))
+
+    def test_rejects_a_non_diagonalizable_adjoint(self):
+        # e y = x and e x = 0: a Jordan block at 0, every eigenvalue in
+        # the fusion set, but the eigenspaces do not span
+        zero, e, x = [0, 0, 0], [1, 0, 0], [0, 1, 0]
+        table = [[[2, 0, 0], zero, x], [zero, zero, zero], [x, zero, [4, 0, 0]]]
+        gram = [[Q(1, 4), 0, 0], [0, 0, 1], [0, 1, 0]]
+        jordan = StructureAlgebra(["e", "x", "y"], table, gram)
+        assert certify_virasoro(jordan, e) == Q(1, 2)
+        assert adjoint_spectrum(jordan, e) == {Q(2): 1, Q(0): 1}
+        with pytest.raises(ValueError, match="eigenvalues outside"):
+            miyamoto_tau(jordan, e)
+        with pytest.raises(ValueError, match="eigenvalues outside"):
+            miyamoto_sigma(jordan, e)
+
+    @pytest.mark.parametrize("build", [build_3C, build_G9])
+    def test_tau_is_the_reflection_in_the_sixteenth_projection(self, build):
+        # P = (I - tau)/2 is pinned without the projection formula: a
+        # projection, onto 1/16-eigenvectors, whose kernel ad kills with
+        # the other three fusion eigenvalues
+        A = build()
+        ident = Matrix.identity(A.dim)
+
+        def lin(*terms):
+            return Matrix([[sum(c * m.rows[i][j] for c, m in terms)
+                            for j in range(A.dim)] for i in range(A.dim)])
+
+        for i in range(A.dim):
+            ad = adjoint(A, A.unit(i))
+            p = lin((Q(1, 2), ident), (Q(-1, 2), miyamoto_tau(A, A.unit(i)).matrix))
+            assert p.matmul(p) == p
+            assert ad.matmul(p) == p.matmul(ad) == lin((Q(1, 16), p))
+            rest = reduce(Matrix.matmul, [ad, lin((1, ad), (-2, ident)),
+                                          lin((1, ad), (Q(-1, 2), ident)),
+                                          lin((1, ident), (-1, p))])
+            assert rest == lin()
 
 
 class TestGroupClosure:

@@ -13,7 +13,9 @@ from griess_lab.fock import (
     FockSpace,
     FockState,
     WeightOverflowError,
+    _Accumulator,
     _root_current,
+    _wt8,
     parafermion_omega,
     parafermion_space,
     real_form_components,
@@ -27,6 +29,26 @@ from griess_lab.numerics import Eisenstein, Matrix, ONE, Q, ZERO, ZETA
 
 def osc(space, h, n=1, coeff=1):
     return space.oscillator_state([(h, n)], coeff)
+
+
+def translate(s):
+    """L(-1) on weight <= 1 states."""
+    # over twice the denominator, as gamma_k = g2[k] / 2
+    out = _Accumulator()
+    for (osc, g2), (r, z) in s._nums.items():
+        w8 = _wt8((osc, g2))
+        if w8 == 0:
+            continue
+        if w8 > 8:
+            raise WeightOverflowError("translation is only available below weight 2")
+        if osc:
+            (n, k) = osc[0]
+            out.add((((n + 1, k),), g2), 2 * n * r, 2 * n * z)
+            continue
+        for k, x in enumerate(g2):
+            if x:
+                out.add((((1, k),), g2), x * r, x * z)
+    return out.state(2 * s._den)
 
 
 def unit(dim, k):
@@ -1005,7 +1027,7 @@ class TestSkewRule:
             gamma = vectors[rng.randrange(len(vectors))]
             a, b = sp.exp_state(beta), sp.exp_state(gamma)
             lhs = sp.apply_mode(a, 1, b)
-            rhs = sp.apply_mode(b, 1, a) - sp.translate(sp.apply_mode(b, 2, a))
+            rhs = sp.apply_mode(b, 1, a) - translate(sp.apply_mode(b, 2, a))
             assert lhs == rhs
 
     def test_skew_rule_with_mixed_left_state(self, family):
@@ -1017,12 +1039,12 @@ class TestSkewRule:
         b = sp.oscillator_state([(unit(24, k), 2)])
         lhs = sp.griess_product(a, b)
         assert not lhs.is_zero()
-        assert lhs == sp.griess_product(b, a) - sp.translate(sp.apply_mode(b, 2, a))
+        assert lhs == sp.griess_product(b, a) - translate(sp.apply_mode(b, 2, a))
 
     def test_translation_on_low_weight(self, family):
         sp = family.space
         h = unit(24, 4)
-        assert sp.translate(osc(sp, h)) == sp.oscillator_state([(h, 2)])
+        assert translate(osc(sp, h)) == sp.oscillator_state([(h, 2)])
         gamma = block_embed(family.e8.basis[1], 0, 3)
         s = sp.exp_state(gamma)
         want = FockState()
@@ -1030,10 +1052,10 @@ class TestSkewRule:
             if x:
                 want = want + FockState(
                     {(((1, k),), tuple(int(2 * y) for y in gamma)): Eisenstein(Q(x))})
-        assert sp.translate(s) == want
-        assert sp.translate(sp.vacuum()).is_zero()
+        assert translate(s) == want
+        assert translate(sp.vacuum()).is_zero()
         with pytest.raises(WeightOverflowError):
-            sp.translate(family.axes[0][0])
+            translate(family.axes[0][0])
 
 
 class TestSugawara:

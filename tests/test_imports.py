@@ -40,9 +40,6 @@ def test_no_unused_imports(path):
 
 # Public names that only tests call, each kept for the reason given.
 KEEP = {
-    "translate": "FockSpace.translate (the L(-1) map) backs the skew-symmetry test",
-    "shell_brute_force": "independent oracle for shell enumeration",
-    "tensor_product": "builds A2 (x) E8 for the M+N isometry test",
     "epsilon": "CocycleTable.epsilon on vectors, the form the cocycle tests check",
     "cross_validate": "entry-by-entry table report of acceptance criterion 09",
 }
@@ -93,7 +90,7 @@ def uncalled_defs(modules, others):
 def test_scanner_flags_an_uncalled_def():
     modules = {"a": "def used():\n    return 1\n\n\ndef dead(n):\n    return dead(n - 1)\n",
                "b": "class C:\n    def m(self):\n        return used()\n",
-               "c": "def translate():\n    pass\n"}
+               "c": "def epsilon():\n    pass\n"}
     assert uncalled_defs(modules, [ast.parse("C().m()")]) == [("a", "dead")]
     assert uncalled_defs(modules, []) == [("a", "dead"), ("b", "m")]
 

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from griess_lab.lattice import (
     DiskCache,
     EmbeddingMaps,
     Lattice,
+    Shell,
     annihilator,
     block_embed,
     build_standard,
@@ -26,10 +28,38 @@ from griess_lab.lattice import (
     map_lattice,
     root_system_type,
     shell,
-    shell_brute_force,
     sublattice_K,
-    tensor_product,
 )
+
+
+def tensor_product(A, B, label=None):
+    """Tensor product with basis a_i (x) b_j in i-major order."""
+    basis = [[x * y for x in a for y in b] for a in A.basis for b in B.basis]
+    return Lattice(label or f"{A.label}x{B.label}", basis)
+
+
+def shell_brute_force(L, norm):
+    """Independent box-search oracle for shell(); exponential in the rank."""
+    norm = Fraction(norm)
+    lb = L._int_basis[0]
+    ginv = L.gram.inverse()
+    bounds = [math.isqrt(math.ceil(norm * ginv.rows[i][i])) + 1
+              for i in range(L.rank)]
+    vectors = []
+
+    def rec(i, coords):
+        if i == L.rank:
+            v = tuple(L._combine(coords))
+            if dot(v, v) == norm * lb * lb and any(coords):
+                vectors.append(v)
+            return
+        for c in range(-bounds[i], bounds[i] + 1):
+            coords.append(c)
+            rec(i + 1, coords)
+            coords.pop()
+
+    rec(0, [])
+    return Shell(L.label, norm, tuple(sorted(vectors)), lb)
 
 
 def scaled_gram(L, factor):
@@ -456,6 +486,19 @@ class TestCosets:
         again = coset_decomposition_A26(cache)
         assert again.representatives == system.representatives
         assert again.verified
+
+    def test_a_warm_cache_still_verifies(self, tmp_path, monkeypatch):
+        calls = []
+        verify = CosetSystem.verify
+        monkeypatch.setattr(CosetSystem, "verify",
+                            lambda self: calls.append(1) or verify(self))
+        cache = DiskCache(str(tmp_path))
+        coset_decomposition_A26(cache)
+        (path,) = tmp_path.glob("*.cosets")
+        written = path.stat().st_ino
+        assert coset_decomposition_A26(cache).verified
+        assert len(calls) == 2
+        assert path.stat().st_ino == written  # a matching file is kept
 
     @pytest.mark.parametrize("damage", ["truncated", "unparsable", "reordered",
                                         "zero-denominator"])

@@ -87,18 +87,6 @@ class TestMatrix:
             r2, _ = r1.rref()
             assert r1.rows == r2.rows
 
-    def test_rank_plus_nullity(self):
-        rng = random.Random(4)
-        for _ in range(25):
-            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-            m = Matrix([[Q(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(nr)])
-            assert m.rank() + len(m.kernel_basis()) == nc
-
-    def test_kernel_vectors_annihilate(self):
-        m = Matrix([[Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(6)], [Q(0), Q(1), Q(1)]])
-        for v in m.kernel_basis():
-            assert m.matvec(v) == tuple([Q(0)] * 3)
-
     def test_solve_and_inverse(self):
         m = Matrix([[Q(2), Q(1)], [Q(1), Q(1)]])
         x = m.solve((Q(3), Q(2)))
@@ -134,12 +122,6 @@ class TestMatrix:
             a = Matrix([[Q(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)])
             b = Matrix([[Q(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)])
             assert a.matmul(b).det() == a.det() * b.det()
-
-    def test_eigenspace(self):
-        m = Matrix([[Q(2), Q(0)], [Q(0), Q(3)]])
-        e2 = m.eigenspace(Q(2))
-        assert len(e2) == 1 and e2[0][1] == 0
-        assert m.eigenspace(Q(5)) == []
 
     def test_eisenstein_entries(self):
         with pytest.raises(TypeError):

@@ -144,7 +144,7 @@ class TestReportFormats:
         report = VerificationReport(suite="demo", version="0.0",
                                     seed=1, results=(result,))
         assert not report.ok
-        assert report.failures == ("demo.01",)
+        assert report.failures == (result,)
         doc = report_dict(report)
         assert doc["results"][0]["status"] == "fail"
         text = emit_report(report, "text")
@@ -173,13 +173,19 @@ class TestFailurePath:
     def test_failed_check_is_reported(self, cache, failing_suite):
         report = run_suite(failing_suite, cache=cache)
         assert not report.ok
-        assert report.failures == ("zz.01.bad",)
+        assert [r.id for r in report.failures] == ["zz.01.bad"]
         assert [r.id for r in report.results] == ["zz.01.bad", "zz.02.good"]
         bad = report.results[0]
         assert (bad.status, bad.computed, bad.expected) == ("fail", "1/2", "1/3")
         text = emit_report(report, "text")
         assert "[FAIL] zz.01.bad" in text
         assert "expected 1/3" in text
+
+    def test_failures_carry_the_results(self, cache, failing_suite):
+        # a failure message can show what each failing check computed
+        report = run_suite(failing_suite, cache=cache)
+        assert [(r.id, r.computed) for r in report.failures] == [("zz.01.bad", "1/2")]
+        assert report.errors == ()
 
 
 @pytest.fixture
@@ -216,8 +222,9 @@ class TestFaultIsolation:
             ("zz.03.bad", "fail", "1/2", "1/3"),
             ("zz.04.good", "pass", "1", "1"),
         ]
-        assert report.failures == ("zz.01.arith", "zz.02.value", "zz.03.bad")
-        assert report.errors == ("zz.01.arith", "zz.02.value")
+        assert [r.id for r in report.failures] == [
+            "zz.01.arith", "zz.02.value", "zz.03.bad"]
+        assert [r.id for r in report.errors] == ["zz.01.arith", "zz.02.value"]
         text = emit_report(report, "text")
         assert "[ERROR] zz.01.arith  computed ArithmeticError: no inverse\n" in text
         assert "[FAIL] zz.03.bad  computed 1/2  expected 1/3\n" in text

@@ -51,14 +51,13 @@ from .lattice import (
     DiskCache,
     EmbeddingMaps,
     Lattice,
-    annihilator,
     block_embed,
     build_standard,
     difference_lattice,
     direct_sum,
     find_a,
     index_in,
-    lattice_sum,
+    map_lattice,
     scaled_ints,
     shell,
     sublattice_K,
@@ -798,7 +797,8 @@ def build_axis_family(a: Optional[Sequence] = None,
     M = difference_lattice(e8, 0, 1, "M")
     N = difference_lattice(e8, 1, 2, "N")
     Ntilde = difference_lattice(e8, 0, 2, "Ntilde")
-    E = annihilator(L, lattice_sum(M, N, "M+N"), "E")
+    # E = (M+N)^perp: (a, b, c) orthogonal to all (v, -v, 0) and (0, v, -v) has a = b = c
+    E = map_lattice(lambda v: tuple(v) * 3, e8, "E")
     K = sublattice_K(e8, a)
     if index_in(K, e8) != 3:
         raise ValueError("kernel sublattice does not have index 3")
@@ -837,7 +837,7 @@ def sugawara_expressions(family: AxisFamily,
     space = family.space
     omega = sugawara_omega(family, cache)
 
-    mplusn = lattice_sum(family.M, family.N, "M+N")
+    mplusn = Lattice("M+N", family.M.basis + family.N.basis)
     deltas = [tuple(x - y for x, y in zip(block_embed(alpha, i, 3), block_embed(alpha, j, 3)))
               for alpha in shell(family.K, 2, cache).vectors
               for i, j in ((0, 1), (1, 2), (0, 2))]

@@ -4,7 +4,9 @@ A lattice is stored as a row basis over Q.  All norms and inner
 products come from the ambient standard inner product; the interesting
 lattices here are the even-coordinate model of E8, its triple direct
 sum, root lattices A_n, and the index-3 sublattice of E8 isometric to
-A8 together with its glue structure.
+A8 together with its glue structure.  Every sublattice is given by an
+explicit basis (an image of a basis, a direct sum, a difference
+lattice), never by reducing a spanning set.
 
 Shell enumeration (all vectors of a prescribed norm) is exact: the
 steps of the fraction-free elimination of the integer Gram matrix (the
@@ -173,11 +175,6 @@ class Lattice:
         raw, d = got
         return all(x % d == 0 for x in raw)
 
-    def vector_from_coords(self, coords: Sequence) -> QVec:
-        ci, s = _common_scale(coords)
-        den = s * self._int_basis[0]
-        return tuple(Fraction(x, den) for x in self._combine(ci))
-
 
 # ---------------------------------------------------------------------------
 # standard constructions
@@ -251,67 +248,6 @@ def difference_lattice(L: Lattice, pos: int, neg: int, label: str) -> Lattice:
         block_embed(v, pos, 3), block_embed(v, neg, 3))), L, label)
 
 
-# ---------------------------------------------------------------------------
-# integer row reduction (sums and annihilators)
-
-
-def _int_row_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[List[int]]]:
-    """Integer row echelon form by gcd elimination.
-
-    Returns (H, U) with U unimodular and U*A = H.  Rows of H span the same
-    integer row lattice as A.
-    """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    top = 0
-    for col in range(nc):
-        while True:
-            live = [i for i in range(top, nr) if m[i][col] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(m[i][col]))
-            m[top], m[i0] = m[i0], m[top]
-            u[top], u[i0] = u[i0], u[top]
-            done = True
-            for i in range(top + 1, nr):
-                if m[i][col] != 0:
-                    q = m[i][col] // m[top][col]
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                        u[i] = [a - q * b for a, b in zip(u[i], u[top])]
-                    if m[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if any(m[i][col] != 0 for i in range(top, nr)):
-            if m[top][col] < 0:
-                m[top] = [-x for x in m[top]]
-                u[top] = [-x for x in u[top]]
-            # reduce entries above the pivot for a canonical form
-            for i in range(top):
-                q = m[i][col] // m[top][col]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[top])]
-            top += 1
-            if top == nr:
-                break
-    return m, u
-
-
-def lattice_sum(A: Lattice, B: Lattice, label: Optional[str] = None) -> Lattice:
-    if A.ambient_dim != B.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    (la, ra), (lb, rb) = A._int_basis, B._int_basis
-    den = math.lcm(la, lb)
-    rows = [[x * (den // la) for x in r] for r in ra] + [[x * (den // lb) for x in r] for r in rb]
-    h, _ = _int_row_echelon(rows)
-    basis = [[Fraction(x, den) for x in r] for r in h if any(r)]
-    return Lattice(label or f"{A.label}+{B.label}", basis)
-
-
 def index_in(sub: Lattice, sup: Lattice) -> int:
     """The index [sup : sub] via the determinant ratio."""
     if not all(sup.contains(r) for r in sub.basis):
@@ -325,24 +261,6 @@ def index_in(sub: Lattice, sup: Lattice) -> int:
     if root * root != ratio.numerator:
         raise ValueError("determinant ratio is not a perfect square")
     return root
-
-
-def annihilator(L: Lattice, S: Lattice, label: Optional[str] = None) -> Lattice:
-    """The sublattice of L of vectors orthogonal to every vector of S."""
-    if L.ambient_dim != S.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    # pairing of the integer bases is a positive multiple of the true
-    # pairing; kernels agree
-    pairing = [
-        [sum(x * y for x, y in zip(bl, bs)) for bs in S._int_basis[1]]
-        for bl in L._int_basis[1]
-    ]
-    h, u = _int_row_echelon(pairing)
-    kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
-    if not kernel_rows:
-        raise ValueError("annihilator is trivial")
-    basis = [L.vector_from_coords(x) for x in kernel_rows]
-    return Lattice(label or f"Ann_{L.label}({S.label})", basis)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +412,10 @@ def _component_type(n: int, count: int) -> str:
 
 def sublattice_K(e8: Lattice, a: Sequence) -> Lattice:
     """The vectors of E8 pairing to a multiple of 3 with a (index 1 or 3)."""
-    c = [int(dot(b, a)) % 3 for b in e8.basis]
+    pairings = [dot(b, a) for b in e8.basis]
+    if any(p.denominator != 1 for p in pairings):
+        raise ValueError("a must pair integrally with every basis vector")
+    c = [int(p) % 3 for p in pairings]
     if not any(c):
         return Lattice("K", e8.basis)
     i0 = next(i for i, x in enumerate(c) if x)

@@ -238,6 +238,17 @@ class TestMiyamoto:
         assert sig.automorphism
         assert miyamoto_tau(half, e).matrix == Matrix.identity(2)
 
+    def test_sigma_rejects_a_half_part_outside_the_fusion_rules(self):
+        # x x = x + 2s e with s = 1/8: the 1/2-eigenvector squares into the
+        # 1/2 part, so x -> -x breaks the product on the fixed subalgebra
+        s = Q(1, 8)
+        table = [[[2, 0], [0, Q(1, 2)]], [[0, Q(1, 2)], [2 * s, 1]]]
+        bad = StructureAlgebra(["e", "x"], table, [[Q(1, 4), 0], [0, s]])
+        e = bad.unit(0)
+        assert adjoint_spectrum(bad, e) == {Q(2): 1, Q(1, 2): 1}
+        with pytest.raises(ValueError, match="fails to preserve the fixed subalgebra"):
+            miyamoto_sigma(bad, e)
+
     def test_rejects_wrong_central_charge(self, g9):
         omega = tuple(Q(8, 9) for _ in range(9))
         with pytest.raises(ValueError, match="central charge 1/2"):

@@ -27,7 +27,8 @@ def triple_table(e8):
 
 
 def random_vector(L, rng):
-    return L.vector_from_coords([rng.randint(-3, 3) for _ in range(L.rank)])
+    coords = [rng.randint(-3, 3) for _ in range(L.rank)]
+    return tuple(sum(c * b[k] for c, b in zip(coords, L.basis)) for k in range(L.ambient_dim))
 
 
 def test_rejects_odd_lattice():

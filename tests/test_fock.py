@@ -23,7 +23,7 @@ from griess_lab.fock import (
     sugawara_omega,
 )
 from griess_lab.lattice import (
-    EmbeddingMaps, Lattice, block_embed, build_standard, lattice_sum, shell)
+    EmbeddingMaps, Lattice, block_embed, build_standard, shell)
 from griess_lab.numerics import Eisenstein, Matrix, ONE, Q, ZERO, ZETA
 
 
@@ -903,7 +903,7 @@ class TestVirasoroOfSubspace:
 
     def test_triple_difference_sum(self, family):
         sp = family.space
-        w = sp.virasoro_of_subspace(lattice_sum(family.M, family.N, "M+N"))
+        w = sp.virasoro_of_subspace(Lattice("M+N", family.M.basis + family.N.basis))
         parts = (sp.virasoro_of_subspace(family.M)
                  + sp.virasoro_of_subspace(family.N)
                  + sp.virasoro_of_subspace(family.Ntilde))

@@ -1,5 +1,5 @@
 """Every name a module of the package imports is used in that module, and
-every public def of the package has a caller outside the tests."""
+every def of the package has a caller outside the tests."""
 
 import ast
 import collections
@@ -61,16 +61,24 @@ def _identifiers(tree):
     return found
 
 
-def _public_defs(tree):
+def _scanned_defs(tree):
+    """Each top-level def and method, public or private, but no dunder and
+    no def that a decorator of the same module registers (its caller is
+    the registry)."""
+    local = {d.name for d in tree.body if isinstance(d, ast.FunctionDef)}
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else [node]
         for d in members:
-            if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
-                yield d
+            if not isinstance(d, ast.FunctionDef) or d.name.startswith("__"):
+                continue
+            if any(isinstance(x, ast.Call) and getattr(x.func, "id", None) in local
+                   for x in d.decorator_list):
+                continue
+            yield d
 
 
 def uncalled_defs(modules, others):
-    """(module, name) of each public top-level def or method in `modules`
+    """(module, name) of each top-level def or method in `modules`
     (name -> source) that nothing references outside its own body, in the
     modules or in the trees `others`, and that KEEP does not list."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
@@ -80,7 +88,7 @@ def uncalled_defs(modules, others):
     for name, tree in trees.items():
         elsewhere = outside + sum((c for n, c in counts.items() if n != name),
                                   collections.Counter())
-        for d in _public_defs(tree):
+        for d in _scanned_defs(tree):
             here = counts[name][d.name] - _identifiers(d)[d.name]
             if not here and not elsewhere[d.name] and d.name not in KEEP:
                 uncalled.append((name, d.name))
@@ -89,10 +97,14 @@ def uncalled_defs(modules, others):
 
 def test_scanner_flags_an_uncalled_def():
     modules = {"a": "def used():\n    return 1\n\n\ndef dead(n):\n    return dead(n - 1)\n",
-               "b": "class C:\n    def m(self):\n        return used()\n",
-               "c": "def epsilon():\n    pass\n"}
-    assert uncalled_defs(modules, [ast.parse("C().m()")]) == [("a", "dead")]
-    assert uncalled_defs(modules, []) == [("a", "dead"), ("b", "m")]
+               "b": "class C:\n    def __init__(self):\n        pass\n\n"
+                    "    def m(self):\n        return used()\n\n"
+                    "    def _gone(self):\n        return self\n",
+               "c": "def epsilon():\n    pass\n",
+               "d": "def _reg(f):\n    return lambda g: g\n\n\n"
+                    "@_reg(1)\ndef _registered():\n    pass\n"}
+    assert uncalled_defs(modules, [ast.parse("C().m()")]) == [("a", "dead"), ("b", "_gone")]
+    assert uncalled_defs(modules, []) == [("a", "dead"), ("b", "_gone"), ("b", "m")]
 
 
 def test_every_public_def_has_a_caller():

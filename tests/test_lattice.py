@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from griess_lab.fock import build_axis_family
 from griess_lab.numerics import Matrix, Q, dot
 from griess_lab.scenarios import run_suite
 from griess_lab.lattice import (
@@ -15,7 +16,6 @@ from griess_lab.lattice import (
     EmbeddingMaps,
     Lattice,
     Shell,
-    annihilator,
     block_embed,
     build_standard,
     coset_decomposition_A26,
@@ -24,12 +24,16 @@ from griess_lab.lattice import (
     find_a,
     glue_vector,
     index_in,
-    lattice_sum,
     map_lattice,
     root_system_type,
     shell,
     sublattice_K,
 )
+
+
+def from_coords(L, coords):
+    """The vector with the given coordinates in L's basis."""
+    return tuple(sum(c * b[k] for c, b in zip(coords, L.basis)) for k in range(L.ambient_dim))
 
 
 def tensor_product(A, B, label=None):
@@ -167,7 +171,7 @@ class TestConstructions:
         assert T.contains((1, 1))
         assert T.coords((1, 0)) == (Q(3, 2), Q(1, 2))
         assert not T.contains((1, 0))
-        assert T.vector_from_coords((Q(3, 2), Q(1, 2))) == (Q(1), Q(0))
+        assert from_coords(T, (Q(3, 2), Q(1, 2))) == (Q(1), Q(0))
 
     @pytest.mark.parametrize("den", DENOMINATORS)
     @pytest.mark.parametrize("name", sorted(ORACLE_LATTICES))
@@ -180,7 +184,7 @@ class TestConstructions:
         assert got == reference_coords(L, v)
         assert L.contains(v) == (got is not None and all(x.denominator == 1 for x in got))
         if got is not None:
-            assert L.vector_from_coords(got) == v
+            assert from_coords(L, got) == v
 
     def test_coords_off_span_rejected(self):
         L = ORACLE_LATTICES["mu.A2+A8^3"]
@@ -281,15 +285,11 @@ class TestRootSystemType:
         assert root_system_type(d4) == "D4"
         assert root_system_type(build_standard("Z", 5)) == "D5"
 
-    def test_e_series_from_annihilators(self, e8, cache):
-        alpha = shell(e8, 2, cache).vectors[0]
-        e7 = annihilator(e8, Lattice("root", [alpha]), "E7side")
-        assert root_system_type(e7) == "E7"
-        beta = next(
-            v for v in shell(e8, 2, cache).vectors if dot(v, alpha) == -1)
-        a2 = Lattice("A2sub", [alpha, beta])
-        e6 = annihilator(e8, a2, "E6side")
-        assert root_system_type(e6) == "E6"
+    def test_e_series_from_simple_roots(self, e8):
+        # E8's basis rows are its simple roots in Bourbaki order, so the
+        # first seven and the first six span E7 and E6
+        assert root_system_type(Lattice("E7", e8.basis[:7])) == "E7"
+        assert root_system_type(Lattice("E6", e8.basis[:6])) == "E6"
 
     def test_e8(self, e8, cache):
         assert root_system_type(e8, cache) == "E8"
@@ -314,6 +314,15 @@ class TestKSublattice:
     def test_zero_vector_gives_index_one(self, e8):
         K = sublattice_K(e8, (0,) * 8)
         assert index_in(K, e8) == 1
+
+    def test_rejects_a_non_integral_pairing(self, e8):
+        # (1/2, 1/2, 0, ...) pairs to -1/2 with (0, -1, 1, 0, ...): the
+        # vectors pairing into 3Z then have index 6, not 3
+        a = (Q(1, 2), Q(1, 2)) + (Q(0),) * 6
+        with pytest.raises(ValueError, match="integrally"):
+            sublattice_K(e8, a)
+        with pytest.raises(ValueError, match="integrally"):
+            build_axis_family(a)
 
     def test_found_vector(self, e8, cache, a_vector):
         assert dot(a_vector, a_vector) == 8
@@ -363,32 +372,38 @@ class TestTripleSumGeometry:
         _, M, _ = triple
         assert M.gram.rows == scaled_gram(e8, 2)
 
-    def test_sum_is_zero_coordinate_sum_sublattice(self, e8, triple):
+    def test_sum_is_zero_coordinate_sum_sublattice(self, e8, cache, triple):
         L, M, N = triple
-        MN = lattice_sum(M, N, "M+N")
+        MN = Lattice("M+N", M.basis + N.basis)
         assert MN.rank == 16
         for v in MN.basis:
             assert tuple(x + y + z for x, y, z in zip(v[:8], v[8:16], v[16:])) == (Q(0),) * 8
         t = tensor_product(build_standard("A", 2), e8)
         assert MN.det == t.det == 3 ** 8
-        mapped = [tuple(x - y for x, y in zip(block_embed(b, 0, 3), block_embed(b, 1, 3)))
-                  for b in e8.basis]
-        mapped += [tuple(x - y for x, y in zip(block_embed(b, 1, 3), block_embed(b, 2, 3)))
-                   for b in e8.basis]
-        assert Matrix([[dot(u, v) for v in mapped] for u in mapped]).rows == t.gram.rows
-        assert index_in(Lattice("mapped", mapped), MN) == 1
+        assert MN.gram.rows == t.gram.rows
+        # (u, v, -u-v) = (u, -u, 0) + (0, u+v, -u-v): every zero-sum vector of L
+        roots = shell(e8, 2, cache).vectors
+        for u, v in zip(roots[::37], roots[5::41]):
+            assert MN.contains(u + v + tuple(-x - y for x, y in zip(u, v)))
+        assert not MN.contains(block_embed(roots[0], 0, 3))
 
-    def test_annihilator_is_diagonal(self, e8, triple):
-        L, M, N = triple
-        MN = lattice_sum(M, N, "M+N")
-        E = annihilator(L, MN, "E")
+    def test_annihilator_is_diagonal(self, e8, family):
+        E = family.E
         assert E.rank == 8
+        assert [r[:8] for r in E.basis] == list(e8.basis)
         assert all(r[:8] == r[8:16] == r[16:] for r in E.basis)
         assert E.gram.rows == scaled_gram(e8, 3)
+        for S in (family.M, family.N, family.Ntilde):
+            assert all(dot(u, v) == 0 for u in E.basis for v in S.basis)
 
-    def test_full_rank_annihilator_is_trivial(self, e8):
-        with pytest.raises(ValueError):
-            annihilator(e8, e8)
+    def test_diagonal_complements_the_differences(self, family):
+        # virasoro_of_subspace reads the orthogonal projector onto the span,
+        # so the two conformal vectors add up to L's exactly when
+        # span E = (M+N)^perp
+        sp = family.space
+        MN = Lattice("M+N", family.M.basis + family.N.basis)
+        assert (sp.virasoro_of_subspace(family.E) + sp.virasoro_of_subspace(MN)
+                == sp.virasoro_of_subspace(family.L))
 
 
 class TestGlueAndEmbeddings:
@@ -425,12 +440,15 @@ class TestGlueAndEmbeddings:
 
     def test_annihilator_of_repeated_a2_is_triple_a8(self):
         maps = EmbeddingMaps(8, 2)
-        a26 = build_standard("A", 26)
+        a8, a26 = build_standard("A", 8), build_standard("A", 26)
         y = map_lattice(maps.mu, build_standard("A", 2), "mu.A2")
-        ann = annihilator(a26, y, "Ann.Y")
-        assert ann.rank == 24
-        assert ann.det == 9 ** 3
-        assert root_system_type(ann) == "A8+A8+A8"
+        blocks = Lattice("eta.A8^3", [maps.eta(i, r) for i in range(3) for r in a8.basis])
+        assert all(a26.contains(r) for r in blocks.basis)
+        # rank 24 + 2 = 26 = rank A26: the blocks span mu(A2)^perp
+        assert blocks.rank + y.rank == a26.rank
+        assert all(dot(u, v) == 0 for u in blocks.basis for v in y.basis)
+        assert blocks.det == 9 ** 3
+        assert root_system_type(blocks) == "A8+A8+A8"
 
 
 @pytest.fixture(scope="module")
@@ -621,10 +639,3 @@ class TestIndexAndSum:
         with pytest.raises(ValueError):
             index_in(z8, e8)
 
-    def test_sum_of_lattice_with_itself(self, e8):
-        assert index_in(lattice_sum(e8, e8), e8) == 1
-
-    def test_sum_commutes(self, e8, a_vector):
-        K = sublattice_K(e8, a_vector)
-        left = lattice_sum(K, e8)
-        assert index_in(left, e8) == 1

@@ -14,6 +14,10 @@ weight-2 pairing <a,b>1 = a_3 b, all exactly.  A mode of a left state
 takes its pure exponentials in one batch and its eps_k(-1) eps_l(-1) 1
 terms, as one integer matrix, in one pass over the right state; only
 the terms 1, eps_k(-1), eps_k(-2) and eps_k(-1)e^gamma go one by one.
+The arrays that a mode reads from its right state (exponent memo rows,
+coordinates, weights, contraction table, numerator bound) form a view
+that is built once per (state, space) and kept on the state; Heisenberg
+modes h(m >= 0) read it to pass on only the monomials they do not kill.
 
 A state stores its coefficients once, as Eisenstein-integer numerators
 re + zc*zeta over one reduced positive denominator.  Sums, scalings,
@@ -42,7 +46,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,7 +110,7 @@ def _contraction_table(oscs: Tuple[Osc, ...]) -> tuple:
                 left = tuple(o for t, o in enumerate(osc) if t not in subset)
                 rest.append(rests.setdefault(left, len(rests)))
         start.append(len(mode))
-    dirs_arr = np.full((len(dirs), max(map(len, dirs))), -1, dtype=np.int64)
+    dirs_arr = np.full((len(dirs), max(map(len, dirs), default=0)), -1, dtype=np.int64)
     for t, ds in enumerate(dirs):
         dirs_arr[t, :len(ds)] = ds
     arrays = (np.array([sum(m for m, _ in osc) for osc in oscs], dtype=np.int64),
@@ -140,15 +144,19 @@ def _int_dtype(bound: int):
 class FockState:
     """Sparse exact linear combination of Fock monomials: numerators
     re + zc*zeta over one positive denominator, the gcd of the denominator
-    and all numerators being 1."""
+    and all numerators being 1.
 
-    __slots__ = ("_den", "_nums", "_terms", "_weight")
+    A state is never changed after it is made, so _view, the (space,
+    _View) pair of the last space that applied a mode to it, stays
+    valid for that space."""
+
+    __slots__ = ("_den", "_nums", "_terms", "_weight", "_view")
 
     def __init__(self, terms: Optional[Mapping[Monomial, object]] = None) -> None:
         parts = [(mono, *_int_parts(c)) for mono, c in terms.items()] if terms else []
         # the least common denominator leaves the numerators reduced
         den = math.lcm(*(d for _, _, d in parts))
-        self._den, self._terms, self._weight = den, None, None
+        self._den, self._terms, self._weight, self._view = den, None, None, None
         self._nums: Dict[Monomial, Pair] = {
             mono: (r * (den // d), z * (den // d)) for mono, (r, z), d in parts if r or z}
 
@@ -160,8 +168,12 @@ class FockState:
             den //= g
             nums = {mono: (r // g, z // g) for mono, (r, z) in nums.items()}
         out = cls.__new__(cls)
-        out._den, out._nums, out._terms, out._weight = den, nums, None, None
+        out._den, out._nums, out._terms, out._weight, out._view = den, nums, None, None, None
         return out
+
+    def __reduce__(self):
+        # the view holds its whole space, so a state travels without it
+        return FockState._of, (self._den, self._nums)
 
     @property
     def terms(self) -> Mapping[Monomial, Eisenstein]:
@@ -219,6 +231,24 @@ class FockState:
 
     def exponents(self) -> List[Gamma]:
         return sorted({g2 for _, g2 in self._nums})
+
+
+class _View(NamedTuple):
+    """The arrays a mode reads from its right-hand terms in one space:
+    the terms, the memo rows ib of their exponents, the doubled
+    coordinates B of those, each monomial's oscillator weight W and eight
+    times its weight wt8, the index of its oscillator part in table, the
+    contraction table of those parts, and cb >= |re| + |zc| for every
+    numerator pair."""
+
+    terms: List[Num]
+    ib: np.ndarray
+    B: np.ndarray
+    W: np.ndarray
+    wt8: np.ndarray
+    part: np.ndarray
+    table: tuple
+    cb: int
 
 
 class _Accumulator:
@@ -329,6 +359,27 @@ class FockSpace:
         m = self._exp_masks
         return 1 - 2 * (np.einsum("ij,ij->i", m[i, rank:], m[j, :rank], dtype=np.int64) & 1)
 
+    def _view(self, terms: List[Num]) -> _View:
+        """The arrays a mode reads from the right-hand terms; ValueError for
+        an exponent outside the lattice."""
+        oscs = [osc for (osc, _), _ in terms]
+        ib = self._exp_rows([g2 for (_, g2), _ in terms])
+        B = self._exp_coords[ib]
+        index = {osc: i for i, osc in enumerate(dict.fromkeys(oscs))}
+        part = np.fromiter(map(index.__getitem__, oscs), dtype=np.int64, count=len(oscs))
+        table = _contraction_table(tuple(index))
+        W = table[0][part]
+        cb = max((abs(r) + abs(z) for _, (r, z) in terms), default=0)
+        return _View(terms, ib, B, W, 8 * W + np.einsum("ij,ij->i", B, B), part, table, cb)
+
+    def _state_view(self, s: FockState) -> _View:
+        """The view of s's terms in this space, kept on s until another
+        space asks (memo rows differ between spaces, even on one lattice)."""
+        kept = s._view
+        if kept is None or kept[0] is not self:
+            kept = s._view = (self, self._view(list(s._nums.items())))
+        return kept[1]
+
     # -- the integer mode kernel ------------------------------------------------
     #
     # The private routines below take terms as numerators over a common
@@ -367,8 +418,10 @@ class FockSpace:
                     out.add(new, r * f, z * f)
 
     def _exp_modes(self, out: _Accumulator, a_exp: List[Num], n: int,
-                   b: List[Num], shift: int) -> None:
-        """The n-th modes of the pure exponentials a_exp applied to b.
+                   b: _View, shift: int) -> None:
+        """The n-th modes of the pure exponentials a_exp applied to the
+        terms of the view b, whose arrays are read as they are: a state's
+        view is built once per space.
 
         A pair (e^beta, monomial of b) can land a term only when
         d_max = -n - 1 - <beta, gamma> + W >= 0, W being the monomial's
@@ -382,13 +435,10 @@ class FockSpace:
         such group emits one creation layer.  A landing halves at most
         (oscillators of b) + 3 times.
         """
-        if not a_exp or not b:
+        if not a_exp or not b.terms:
             return
         ia = self._exp_rows([g2 for (_, g2), _ in a_exp])
-        monos, pairs = zip(*b)
-        oscs, gammas = zip(*monos)
-        ib = self._exp_rows(gammas)
-        A, B = self._exp_coords[ia], self._exp_coords[ib]
+        A, B, W, part = self._exp_coords[ia], b.B, b.W, b.part
         # float64 BLAS is exact while every partial sum stays below 2**53
         if self._exp_max ** 2 * self.dim < 1 << 53:
             S = (A.astype(np.float64) @ B.T.astype(np.float64)).astype(np.int64)
@@ -396,10 +446,7 @@ class FockSpace:
             S = A @ B.T
         if (S & 3).any():
             raise ValueError("non-integral pairing between exponents")
-        index = {osc: i for i, osc in enumerate(dict.fromkeys(oscs))}
-        part = np.fromiter(map(index.__getitem__, oscs), dtype=np.int64, count=len(oscs))
-        weight, start, mode, dirs, halvings, rest, rests = _contraction_table(tuple(index))
-        W = weight[part]
+        _, start, mode, dirs, halvings, rest, rests = b.table
         rows, cols = np.nonzero(4 * (W - n - 1) - S >= 0)
         if not rows.size:
             return
@@ -420,8 +467,7 @@ class FockSpace:
         ri, ci = rows[pair], cols[pair]
         # a term really lands for each kept candidate, so the cap is enforced
         # only now; 8 * (wt(monomial) + wt(e^beta) - n - 1) is its weight
-        out_wt8 = (np.einsum("ij,ij->i", A, A)[ri]
-                   + (8 * W + np.einsum("ij,ij->i", B, B))[ci] - 8 * (n + 1))
+        out_wt8 = np.einsum("ij,ij->i", A, A)[ri] + b.wt8[ci] - 8 * (n + 1)
         over = (out_wt8 > 16) | (d > 2)
         if over.any():
             raise WeightOverflowError(
@@ -433,19 +479,19 @@ class FockSpace:
 
         # only the monomials of b that some pair reaches are read from here on
         used, cu = np.unique(cols, return_inverse=True)
-        b_pairs = [pairs[j] for j in used.tolist()]
+        b_pairs = [b.terms[j][1] for j in used.tolist()]
         # the cocycle parities of those pairs in one float64 product (exact:
         # each is a count <= rank), read at the pairs that pass
         rank = self.lattice.rank
         masks = self._exp_masks
-        parity = masks[ia, rank:].astype(np.float64) @ masks[ib[used], :rank].T.astype(np.float64)
+        parity = (masks[ia, rank:].astype(np.float64)
+                  @ masks[b.ib[used], :rank].T.astype(np.float64))
         sign = 1 - 2 * (parity[rows, cu].astype(np.int64) & 1)
 
         # int64 unless a bound on every product and sum below could overflow it
         ca = max(abs(r) + abs(z) for _, (r, z) in a_exp)
-        cb = max(abs(r) + abs(z) for r, z in b_pairs)
         bmax = max(int(np.abs(A).max()), 1)
-        dtype = _int_dtype(ca * cb * bmax ** (dirs.shape[1] + 2) * (2 << shift) * pair.size)
+        dtype = _int_dtype(ca * b.cb * bmax ** (dirs.shape[1] + 2) * (2 << shift) * pair.size)
         ar, az = np.array([p for _, p in a_exp], dtype=dtype)[rows].T
         br, bz = np.array(b_pairs, dtype=dtype)[cu].T
         scale = np.left_shift(f.astype(dtype), room.astype(dtype))
@@ -594,7 +640,7 @@ class FockSpace:
                                     (x * bz + y * br - y * bz) << room)
 
     def _left_mode(self, out: _Accumulator, osc: Osc, g2: Gamma, n: int,
-                   b: List[Num], cr: int, cz: int, shift: int) -> None:
+                   view: _View, cr: int, cz: int, shift: int) -> None:
         """The n-th mode of a monomial 1, eps_k(-1)1, eps_k(-2)1 or
         eps_k(-1)e^gamma applied to b: 1 is the identity at n = -1,
         eps_k(-1)1 acts as eps_k(n) and eps_k(-2)1 as -n eps_k(n - 1).
@@ -605,6 +651,7 @@ class FockSpace:
         Pure exponentials go to _exp_modes and eps_k(-1)eps_l(-1)1 to
         _quad_modes instead.
         """
+        b = view.terms
         if not osc:
             if n == -1:
                 for mono, (br, bz) in b:
@@ -623,11 +670,12 @@ class FockSpace:
         for m in range(-2, 3):
             inner = _Accumulator()
             if m < 0:
-                self._exp_modes(inner, e_gamma, n - 1 - m, b, shift - 1)
+                self._exp_modes(inner, e_gamma, n - 1 - m, view, shift - 1)
                 self._heisenberg(out, ek, m, inner.terms(), 1, 0, 1)
             else:
                 self._heisenberg(inner, ek, m, b, 1, 0, 1)
-                self._exp_modes(out, e_gamma, n - 1 - m, inner.terms(), shift - 1)
+                self._exp_modes(out, e_gamma, n - 1 - m, self._view(inner.terms()),
+                                shift - 1)
 
     # -- public modes ----------------------------------------------------------
 
@@ -636,15 +684,26 @@ class FockSpace:
         if len(hn) != self.dim:
             raise ValueError("direction has wrong ambient dimension")
         direction = {k: x for k, x in enumerate(hn) if x}
+        terms = s._nums.items()
+        if m >= 0:
+            # only the monomials that h(m) does not kill: <h, gamma> != 0 for
+            # h(0), in one exact integer product, and an oscillator for h(m > 0)
+            view = self._state_view(s)
+            if m == 0:
+                dtype = _int_dtype(self._exp_max * max(map(abs, hn)) * self.dim)
+                hit = view.B.astype(dtype, copy=False) @ np.array(hn, dtype=dtype) != 0
+            else:
+                hit = view.W > 0
+            terms = [view.terms[i] for i in np.flatnonzero(hit).tolist()]
         out = _Accumulator()
-        self._heisenberg(out, direction, m, s._nums.items(), 1, 0, 1)
+        self._heisenberg(out, direction, m, terms, 1, 0, 1)
         return out.state(s._den * dh * 2)
 
     def exp_mode(self, beta: Sequence, n: int, s: FockState) -> FockState:
         return self.apply_mode(self.exp_state(beta), n, s)
 
     def apply_mode(self, a: FockState, n: int, b: FockState) -> FockState:
-        b_terms = list(b._nums.items())
+        view = self._state_view(b)
         # exponential modes halve at most (oscillators of b) + 3 times, a
         # monomial of weight <= 2 has at most two oscillators, and the
         # eps_k(-1) of eps_k(-1)e^gamma adds an h(0) eigenvalue; the
@@ -663,9 +722,9 @@ class FockSpace:
                 # weight 2 with two oscillators: eps_k(-1) eps_l(-1) 1, k <= l
                 quad.setdefault(osc[0][1], {})[osc[1][1]] = pair
             else:
-                self._left_mode(out, osc, g2, n, b_terms, *pair, shift)
-        self._quad_modes(out, quad, n, b_terms, shift)
-        self._exp_modes(out, a_exp, n, b_terms, shift)
+                self._left_mode(out, osc, g2, n, view, *pair, shift)
+        self._quad_modes(out, quad, n, view.terms, shift)
+        self._exp_modes(out, a_exp, n, view, shift)
         return out.state(a._den * b._den << shift)
 
     # -- Griess product and pairing -------------------------------------------

@@ -1,7 +1,9 @@
 import collections
 import cProfile
+import dataclasses
 import itertools
 import math
+import pickle
 import pstats
 import random
 from fractions import Fraction
@@ -16,6 +18,7 @@ from griess_lab.fock import (
     _Accumulator,
     _root_current,
     _wt8,
+    check_commutant_annihilation,
     parafermion_omega,
     parafermion_space,
     real_form_components,
@@ -24,7 +27,7 @@ from griess_lab.fock import (
 )
 from griess_lab.lattice import (
     EmbeddingMaps, Lattice, block_embed, build_standard, shell)
-from griess_lab.numerics import Eisenstein, Matrix, ONE, Q, ZERO, ZETA
+from griess_lab.numerics import Eisenstein, Matrix, ONE, Q, ZERO, ZETA, _common_scale, dot
 
 
 def osc(space, h, n=1, coeff=1):
@@ -784,6 +787,116 @@ class TestBatchedKernel:
         assert object in chosen
 
 
+# -- the per-(state, space) view of a right-hand state -------------------------
+
+
+def _viewless(s):
+    """A copy of s with no view, so that a mode builds one afresh."""
+    return FockState._of(s._den, dict(s._nums))
+
+
+def _unfiltered_heisenberg(space, h, m, s):
+    """heisenberg_mode(h, m, s) with _heisenberg run over every term of s."""
+    hn, dh = _common_scale(h)
+    out = _Accumulator()
+    space._heisenberg(out, {k: x for k, x in enumerate(hn) if x}, m,
+                      list(s._nums.items()), 1, 0, 1)
+    return out.state(s._den * dh * 2)
+
+
+class TestStateView:
+    def test_pickle_leaves_the_view_behind(self, family, cache):
+        sp = family.space
+        axis = family.axis(1, 2)
+        before = pickle.dumps(_viewless(axis))
+        alpha = shell(family.K, 2, cache).vectors[0]
+        assert sp.apply_mode(_root_current(sp, alpha), 1, axis).is_zero()
+        assert axis._view is not None and axis._view[0] is sp
+        after = pickle.dumps(axis)
+        assert len(after) == len(before) and after == before
+        back = pickle.loads(after)
+        assert back == axis and back._view is None
+
+    def test_one_state_in_two_spaces(self):
+        # two spaces on one lattice whose exponent memos hold the same
+        # exponents in different rows: a view built in one is wrong in the other
+        lat = build_standard("A", 2)
+        roots = shell(lat, 2).vectors
+        first, second = FockSpace(lat), FockSpace(lat)
+        for sp, order in ((first, roots), (second, roots[::-1])):
+            for r in order:
+                sp.exp_state(r)
+        assert first._masks != second._masks
+        assert set(first._masks) == set(second._masks)
+        e = [unit(3, k) for k in range(3)]
+        sp = first
+        b = (sp.exp_state(roots[0], 2) + sp.exp_state(roots[3], ZETA)
+             + sp.exp_state(roots[4], Q(-1, 3))
+             + sp.heisenberg_mode(e[0], -1, sp.exp_state(roots[1], Q(3, 2)))
+             + sp.heisenberg_mode(e[2], -1, sp.exp_state(roots[5]))
+             + sp.oscillator_state([(e[1], 1), (e[2], 1)], ZETA * 2))
+        a = (sp.exp_state(roots[2]) + sp.exp_state(roots[4], ZETA)
+             + sp.heisenberg_mode(e[1], -1, sp.exp_state(roots[0], Q(1, 2)))
+             + sp.oscillator_state([(e[0], 1)], 3))
+        landed = 0
+        for sp in (first, second, first):
+            for n in range(-1, 3):
+                got = _outcome(lambda: sp.apply_mode(a, n, b))
+                assert got == _outcome(lambda: sp.apply_mode(a, n, _viewless(b))), n
+                landed += isinstance(got, FockState) and not got.is_zero()
+                assert b._view[0] is sp
+            for m in range(-1, 3):
+                for h in (e[0], roots[1], (Q(1, 2), 3, -1)):
+                    got = _outcome(lambda: sp.heisenberg_mode(h, m, b))
+                    assert got == _outcome(lambda: sp.heisenberg_mode(h, m, _viewless(b)))
+        assert landed >= 6
+
+    def test_a_late_large_numerator_bounds_the_sums(self, family, cache):
+        # one monomial near 2^60, last in b: a bound read off b's first
+        # monomials would keep the sums in int64, where they overflow
+        sp = family.space
+        quartic = shell(family.M, 4, cache).vectors
+        gamma = quartic[7]
+        b = FockState()
+        for k in range(8, 14):
+            b = b + sp.exp_state(quartic[k], k)
+        b = b + sp.exp_state(gamma, Eisenstein(Q(2 ** 60 + 1), Q(2 ** 59 - 3)))
+        assert list(b._nums)[-1][1] == tuple(2 * x for x in gamma)
+        a = sp.exp_state(tuple(-x for x in gamma), 5) + sp.exp_state(quartic[9], ZETA)
+        landed = 0
+        for n in range(-1, 4):
+            got = _outcome(lambda: sp.apply_mode(a, n, b))
+            assert got == _outcome(lambda: _reference_apply_mode(sp, a, n, b)), n
+            landed += isinstance(got, FockState) and any(
+                max(map(abs, pair)) > 2 ** 62 for pair in got._nums.values())
+        assert landed
+
+
+class TestHeisenbergPrefilter:
+    def test_matches_the_unfiltered_kernel(self, family, cache):
+        sp = family.space
+        rng = random.Random(20261023)
+        states = [family.axis(i, j) for i in range(3) for j in range(3)]
+        states.append(sugawara_omega(family, cache))
+        states += [_random_weight2_state(sp, family, rng, 8) for _ in range(3)]
+        alpha = shell(family.K, 2, cache).vectors[5]
+        big = 2 ** 62
+        small = [tuple(alpha) * 3, unit(24, 3), tuple(Q(rng.randint(-3, 3), 2) for _ in range(24))]
+        # entries near 2^62 pass the int64 range: 2^62 (e_0 + e_1) pairs to
+        # 2^62 * 4 = 2^64 with a doubled root (2, 2, 0, ..., 0)
+        large = [tuple(big if k < 2 else 0 for k in range(24)),
+                 tuple(big - 1 if k % 8 == 0 else 0 for k in range(24)),
+                 tuple(rng.choice([big, -big, big - 3, 0, 1]) for _ in range(24))]
+        nonzero = 0
+        for s in states:
+            for h in small + large:
+                for m in range(-2, 3):
+                    got = _outcome(lambda: sp.heisenberg_mode(h, m, s))
+                    assert got == _outcome(lambda: _unfiltered_heisenberg(sp, h, m, s)), m
+                    nonzero += m >= 0 and not got.is_zero()
+        assert nonzero >= 40
+
+
 def _quasi_primary_pool(family):
     """Building blocks that interact: for E8 roots r1, r2 with <r1, r2> = -1
     and r3 = -(r1 + r2), the norm-4 vectors +-(r, -r, 0) of M, the roots
@@ -1091,6 +1204,33 @@ class TestCommutant:
                     for n in (0, 1):
                         assert sp.heisenberg_mode(h, n, axis).is_zero()
                         assert sp.apply_mode(current, n, axis).is_zero()
+
+    def test_planted_exponential_fails_where_the_pairings_say(self, family, cache):
+        # axis (0,0) plus e^gamma, gamma = (r0, r1, 0) of norm 4 and outside
+        # M; h(0) is diagonal, h(1) kills e^gamma, and e^beta_n e^gamma has
+        # leading layer weight -n - 1 - <beta, gamma>
+        sp = family.space
+        roots = shell(family.K, 2, cache).vectors
+        r0 = tuple(-x for x in roots[0])
+        r1 = next(r for r in shell(family.e8, 2, cache).vectors if dot(r, r0) == 1)
+        gamma = tuple(x + y for x, y in zip(block_embed(r0, 0, 3), block_embed(r1, 1, 3)))
+        axes = family.axes
+        planted = dataclasses.replace(family, axes=(
+            (axes[0][0] + sp.exp_state(gamma),) + axes[0][1:],) + axes[1:])
+        want, kinds = [], set()
+        for alpha in roots:
+            betas = [block_embed(alpha, slot, 3) for slot in range(3)]
+            for n in (0, 1):
+                for kind, fails in (
+                        ("H", n == 0 and dot(tuple(alpha) * 3, gamma) != 0),
+                        ("E", any(-n - 1 - dot(beta, gamma) >= 0 for beta in betas))):
+                    if fails:
+                        want.append(f"{kind}({alpha})_{n} on axis (0,0)")
+                        kinds.add(f"{kind}_{n}")
+        report = check_commutant_annihilation(planted, cache)
+        assert (report.roots, report.axes, report.checks) == (72, 9, 2592)
+        assert report.failures == tuple(want)
+        assert kinds == {"H_0", "E_0", "E_1"}
 
 
 class TestParafermion:

@@ -70,10 +70,7 @@ def resolve_state_expr(expr: str, cache: DiskCache):
     m = re.fullmatch(r"omega:(\S+)", expr)
     if m:
         target = resolve_lattice(m.group(1), cache)
-        if target.ambient_dim == 24:
-            space = build_axis_family(cache=cache).space
-        else:
-            space = FockSpace(target)
+        space = FockSpace(target)
         return space, space.virasoro_of_subspace(target)
     m = re.fullmatch(r"parafermion:(\d+)", expr)
     if m:

@@ -11,9 +11,11 @@ half-integer coordinates stay integral).  The engine implements the
 Heisenberg modes, the modes of exponential states via the closed
 double-exponential expansion, the Griess product a.b = a_1 b, and the
 weight-2 pairing <a,b>1 = a_3 b, all exactly.  A mode of a left state
-takes its pure exponentials in one batch and its eps_k(-1) eps_l(-1) 1
-terms, as one integer matrix, in one pass over the right state; only
-the terms 1, eps_k(-1), eps_k(-2) and eps_k(-1)e^gamma go one by one.
+sorts its terms by kind: 1 is the identity at n = -1, the exponentials
+act in one batch, the eps_k(-1)1 terms as one direction, the eps_k(-2)1
+terms as another, and the eps_k(-1) eps_l(-1) 1 terms as one integer
+matrix in one pass over the right state; only eps_k(-1)e^gamma terms go
+one by one.  One routine applies every Heisenberg mode along a direction.
 The arrays that a mode reads from its right state (exponent memo rows,
 coordinates, weights, contraction table, numerator bound) form a view
 that is built once per (state, space) and kept on the state; Heisenberg
@@ -139,6 +141,11 @@ def _int_dtype(bound: int):
     """int64 for integers known to stay below bound in size, else exact
     Python integers (dtype=object)."""
     return np.int64 if bound < 1 << 63 else object
+
+
+def _along(terms: List[Num], h: Dict[int, Pair], shift: int) -> List[tuple]:
+    """The FockSpace._heisenberg items that act on every term along h."""
+    return [(osc, g2, pair, h, shift) for (osc, g2), pair in terms]
 
 
 class FockState:
@@ -389,33 +396,32 @@ class FockSpace:
     # more halvings than its shift allows raises ValueError ("negative
     # shift count") instead of rounding.
 
-    def _heisenberg(self, out: _Accumulator, h: Dict[int, int], m: int,
-                    terms: List[Num], cr: int, cz: int, shift: int) -> None:
-        """h(m) on terms for h = sum_k h[k] eps_k, h a sparse direction of
-        nonzero integers.
+    def _heisenberg(self, out: _Accumulator, m: int, items: List[tuple]) -> None:
+        """h(m) on each item (osc, g2, (br, bz), h, shift): the monomial
+        osc e^g2 with numerator br + bz*zeta, acted on along its own sparse
+        direction h = sum_k (h[k][0] + h[k][1]*zeta) eps_k.
 
-        Only h(0) halves: its eigenvalue on e^gamma is h . gamma2 / 2.
+        Only h(0) halves: its eigenvalue on e^gamma is h . gamma2 / 2.  A
+        creation mode past weight 2 raises, even along an empty direction.
         """
-        dense = [h.get(k, 0) for k in range(max(h, default=-1) + 1)]
-        for mono, (br, bz) in terms:
-            osc, g2 = mono
+        for osc, g2, (br, bz), h, shift in items:
             if m == 0:
-                v = sum(map(operator.mul, dense, g2))
-                landed = [(mono, v << (shift - 1))] if v else []
+                landed = [(osc, sum(x * g2[k] for k, (x, _) in h.items()),
+                           sum(y * g2[k] for k, (_, y) in h.items()))]
+                shift -= 1
             elif m > 0:
-                landed = [((osc[:i] + osc[i + 1:], g2), (m * h[k]) << shift)
+                landed = [(osc[:i] + osc[i + 1:], m * h[k][0], m * h[k][1])
                           for i, (j, k) in enumerate(osc) if j == m and k in h]
             else:
-                new_wt8 = _wt8(mono) - 8 * m
+                new_wt8 = _wt8((osc, g2)) - 8 * m
                 if new_wt8 > 16:
                     raise WeightOverflowError(
                         f"h({m}) would create weight {Q(new_wt8, 8)}")
-                landed = [((tuple(sorted(osc + ((-m, k),))), g2), x << shift)
-                          for k, x in h.items()]
-            if landed:
-                r, z = cr * br - cz * bz, cr * bz + cz * br - cz * bz
-                for new, f in landed:
-                    out.add(new, r * f, z * f)
+                landed = [(tuple(sorted(osc + ((-m, k),))), x, y) for k, (x, y) in h.items()]
+            for new, x, y in landed:
+                if x or y:
+                    out.add((new, g2), (x * br - y * bz) << shift,
+                            (x * bz + y * br - y * bz) << shift)
 
     def _exp_modes(self, out: _Accumulator, a_exp: List[Num], n: int,
                    b: _View, shift: int) -> None:
@@ -585,9 +591,9 @@ class FockSpace:
         h(0), which halves once; j e_d for an annihilated eps_d(-j); e_d for
         each created eps_d(p) (n <= -1 only).  D contracts u into one
         direction v (v_k = sum_l D_kl u_l for m < 0, v_l = sum_k D_kl u_k
-        for m >= 0), along which the left-hand factor acts.  A landing whose
-        left-hand factor creates past weight 2 raises, even where v cancels,
-        as each term of D would raise on its own.
+        for m >= 0), along which _heisenberg applies the left-hand factor to
+        all landings of one m at once; one that creates past weight 2 raises
+        even where v cancels, as each term of D would raise on its own.
         """
         if not D:
             return
@@ -600,7 +606,8 @@ class FockSpace:
             # the right-hand factor eps(q) on the index that D contracts, the
             # left-hand factor eps(r) on the other
             q, r, by = (p, m, cols) if m < 0 else (m, p, D)
-            for (osc, g2), (br, bz) in b:
+            items = []
+            for (osc, g2), pair in b:
                 if q == 0:
                     u = [(d, g2[d]) for d in by if g2[d]]
                     landed = [(osc, u, 1)] if u else []
@@ -609,71 +616,31 @@ class FockSpace:
                               for i, (j, d) in enumerate(osc) if j == q and d in by]
                 else:
                     landed = [(tuple(sorted(osc + ((-q, d),))), [(d, 1)], 0) for d in by]
-                if not landed:
-                    continue
-                if r < 0:
-                    new_wt8 = _wt8((osc, g2)) + 8 * (1 - n)
-                    if new_wt8 > 16:
-                        raise WeightOverflowError(
-                            f"h({r}) would create weight {Q(new_wt8, 8)}")
                 for rest, u, halved in landed:
                     v: Dict[int, Pair] = {}
                     for d, x in u:
                         for e, (dr, dz) in by[d].items():
                             vr, vz = v.get(e, (0, 0))
                             v[e] = (vr + x * dr, vz + x * dz)
-                    if r == 0:
-                        vr = sum(x * g2[e] for e, (x, _) in v.items())
-                        vz = sum(x * g2[e] for e, (_, x) in v.items())
-                        emitted = [(rest, vr, vz)]
-                        halved += 1
-                    elif r > 0:
-                        emitted = [(rest[:i] + rest[i + 1:], r * v[e][0], r * v[e][1])
-                                   for i, (j, e) in enumerate(rest) if j == r and e in v]
-                    else:
-                        emitted = [(tuple(sorted(rest + ((-r, e),))), x, y)
-                                   for e, (x, y) in v.items()]
-                    room = shift - halved
-                    for new, x, y in emitted:
-                        if x or y:
-                            out.add((new, g2), (x * br - y * bz) << room,
-                                    (x * bz + y * br - y * bz) << room)
+                    items.append((rest, g2, pair, v, shift - halved))
+            self._heisenberg(out, r, items)
 
-    def _left_mode(self, out: _Accumulator, osc: Osc, g2: Gamma, n: int,
-                   view: _View, cr: int, cz: int, shift: int) -> None:
-        """The n-th mode of a monomial 1, eps_k(-1)1, eps_k(-2)1 or
-        eps_k(-1)e^gamma applied to b: 1 is the identity at n = -1,
-        eps_k(-1)1 acts as eps_k(n) and eps_k(-2)1 as -n eps_k(n - 1).
-        eps_k(-1)e^gamma is normal ordered over the m that can land in
-        weight <= 2:
+    def _mixed_mode(self, out: _Accumulator, k: int, g2: Gamma, pair: Pair, n: int,
+                    view: _View, shift: int) -> None:
+        """The n-th mode of eps_k(-1)e^gamma applied to b, normal ordered
+        over the m that can land in weight <= 2:
         sum_{m=-2..-1} eps_k(m) e^gamma_{n-1-m} + sum_{m=0..2} e^gamma_{n-1-m} eps_k(m).
         Each summand spends one halving of shift on an h(0) eigenvalue.
-        Pure exponentials go to _exp_modes and eps_k(-1)eps_l(-1)1 to
-        _quad_modes instead.
         """
-        b = view.terms
-        if not osc:
-            if n == -1:
-                for mono, (br, bz) in b:
-                    out.add(mono, (cr * br - cz * bz) << shift,
-                            (cr * bz + cz * br - cz * bz) << shift)
-            return
-        (j, k), = osc
-        ek = {k: 1}
-        if not any(g2):
-            if j == 1:
-                self._heisenberg(out, ek, n, b, cr, cz, shift)
-            elif n != 0:
-                self._heisenberg(out, ek, n - 1, b, -n * cr, -n * cz, shift)
-            return
-        e_gamma = [(((), g2), (cr, cz))]
+        ek = {k: (1, 0)}
+        e_gamma = [(((), g2), pair)]
         for m in range(-2, 3):
             inner = _Accumulator()
             if m < 0:
                 self._exp_modes(inner, e_gamma, n - 1 - m, view, shift - 1)
-                self._heisenberg(out, ek, m, inner.terms(), 1, 0, 1)
+                self._heisenberg(out, m, _along(inner.terms(), ek, 1))
             else:
-                self._heisenberg(inner, ek, m, b, 1, 0, 1)
+                self._heisenberg(inner, m, _along(view.terms, ek, 1))
                 self._exp_modes(out, e_gamma, n - 1 - m, self._view(inner.terms()),
                                 shift - 1)
 
@@ -683,7 +650,7 @@ class FockSpace:
         hn, dh = _common_scale(h)
         if len(hn) != self.dim:
             raise ValueError("direction has wrong ambient dimension")
-        direction = {k: x for k, x in enumerate(hn) if x}
+        direction = {k: (x, 0) for k, x in enumerate(hn) if x}
         terms = s._nums.items()
         if m >= 0:
             # only the monomials that h(m) does not kill: <h, gamma> != 0 for
@@ -696,7 +663,7 @@ class FockSpace:
                 hit = view.W > 0
             terms = [view.terms[i] for i in np.flatnonzero(hit).tolist()]
         out = _Accumulator()
-        self._heisenberg(out, direction, m, terms, 1, 0, 1)
+        self._heisenberg(out, m, _along(terms, direction, 1))
         return out.state(s._den * dh * 2)
 
     def exp_mode(self, beta: Sequence, n: int, s: FockState) -> FockState:
@@ -712,17 +679,35 @@ class FockSpace:
         out = _Accumulator()
         a_exp: List[Num] = []
         quad: Dict[int, Dict[int, Pair]] = {}
+        # the eps_k(-1)1 terms form one direction acting at n, and the
+        # eps_k(-2)1 terms one acting at n - 1 with factor -n
+        eps1: Dict[int, Pair] = {}
+        eps2: Dict[int, Pair] = {}
         for term in a._nums.items():
-            (osc, g2), pair = term
+            (osc, g2), (r, z) = term
             if not osc and any(g2):
                 a_exp.append(term)
             elif _wt8(term[0]) > 16:
                 raise NotImplementedError("left state exceeds weight 2")
+            elif not osc:
+                # the vacuum is the identity at n = -1
+                if n == -1:
+                    for mono, (br, bz) in view.terms:
+                        out.add(mono, (r * br - z * bz) << shift,
+                                (r * bz + z * br - z * bz) << shift)
             elif len(osc) == 2:
                 # weight 2 with two oscillators: eps_k(-1) eps_l(-1) 1, k <= l
-                quad.setdefault(osc[0][1], {})[osc[1][1]] = pair
+                quad.setdefault(osc[0][1], {})[osc[1][1]] = (r, z)
+            elif any(g2):
+                self._mixed_mode(out, osc[0][1], g2, (r, z), n, view, shift)
+            elif osc[0][0] == 1:
+                eps1[osc[0][1]] = (r, z)
             else:
-                self._left_mode(out, osc, g2, n, view, *pair, shift)
+                eps2[osc[0][1]] = (-n * r, -n * z)
+        if eps1:
+            self._heisenberg(out, n, _along(view.terms, eps1, shift))
+        if eps2 and n != 0:
+            self._heisenberg(out, n - 1, _along(view.terms, eps2, shift))
         self._quad_modes(out, quad, n, view.terms, shift)
         self._exp_modes(out, a_exp, n, view, shift)
         return out.state(a._den * b._den << shift)

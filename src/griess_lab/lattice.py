@@ -342,7 +342,7 @@ def shell(L: Lattice, norm, cache: Optional["DiskCache"] = None) -> Shell:
         raise ValueError("shell norm must be positive")
     if cache is not None:
         try:
-            got = cache.load_shell(L.label, norm, L._digest)
+            got = cache.load_shell(L.label, norm, L._digest, L.ambient_dim)
         except ValueError:
             got = None  # a damaged file is recomputed and rewritten
         if got is not None:
@@ -434,27 +434,24 @@ def find_a(e8: Lattice, cache: Optional["DiskCache"] = None) -> QVec:
     """The first vector whose mod-3 pairing kernel in E8 is an A8 root
     lattice of index 3.
 
-    Deterministic search order: shells of norm 2, 4, 6, 8 in turn,
-    lexicographically within each shell.  Norms below 8 contain no
-    suitable vector (their kernels catch 126, 84 or 78 roots); the
-    first norm-8 vector already qualifies, so the scan is short.
+    The search runs over the norm-8 shell in lexicographic order.  No
+    shorter vector qualifies (their kernels catch 126, 84 or 78 roots),
+    and the first norm-8 vector already does, so the scan is short.
     """
     import numpy as np
 
     roots = shell(e8, 2, cache)
-    r2 = np.array(roots.ints, dtype=np.int64).T
-    for norm in (2, 4, 6, 8):
-        sh = shell(e8, norm, cache)
-        cand = np.array(sh.ints, dtype=np.int64)
-        # ints are scale * v, so cand @ r2 is both scales times the true
-        # dot; entries are tiny, exact in int64
-        hits = (np.mod(cand @ r2, 3 * sh.scale * roots.scale) == 0).sum(axis=1)
-        for idx in np.nonzero(hits == 72)[0]:
-            a = tuple(Fraction(x, sh.scale) for x in sh.ints[int(idx)])
-            K = sublattice_K(e8, a)
-            if index_in(K, e8) == 3 and root_system_type(K, cache) == "A8":
-                return a
-    raise RuntimeError("no suitable vector found in shells of norm 2 through 8")
+    sh = shell(e8, 8, cache)
+    cand, r2 = (np.array(s.ints, dtype=np.int64) for s in (sh, roots))
+    # ints are scale * v, so cand @ r2.T is both scales times the true
+    # dot; entries are tiny, exact in int64
+    hits = (np.mod(cand @ r2.T, 3 * sh.scale * roots.scale) == 0).sum(axis=1)
+    for idx in np.nonzero(hits == 72)[0]:
+        a = tuple(Fraction(x, sh.scale) for x in sh.ints[int(idx)])
+        K = sublattice_K(e8, a)
+        if index_in(K, e8) == 3 and root_system_type(K, cache) == "A8":
+            return a
+    raise RuntimeError("no suitable vector found in the norm-8 shell")
 
 
 def glue_vector(ell: int, i: int) -> QVec:
@@ -621,12 +618,13 @@ class DiskCache:
         return os.path.join(
             self.directory, f"{_safe_name(label)}__{norm.numerator}_{norm.denominator}.v2.shell")
 
-    def load_shell(self, label: str, norm: Fraction,
-                   digest: Optional[str] = None) -> Optional[Shell]:
+    def load_shell(self, label: str, norm: Fraction, digest: Optional[str] = None,
+                   dim: Optional[int] = None) -> Optional[Shell]:
         """The cached shell; None when there is no file or, given a basis
         digest, when the file was written for another basis.
 
-        Raises ValueError on a damaged file: a bad header or line count, or
+        Raises ValueError on a damaged file: a bad header or line count,
+        rows not all dim long (the first row's length by default), or
         vectors off the norm, out of order or not closed under negation.
         """
         path = self._shell_path(label, norm)
@@ -652,8 +650,10 @@ class DiskCache:
         if scale < 1:
             raise ValueError(f"shell cache {path} has scale {scale}")
         norms = {sum(map(operator.mul, v, v)) for v in ints}
+        width = (dim or len(ints[0])) if ints else 0
         # negation reverses lexicographic order, so ints[k] == -ints[n-1-k]
-        if (norms - {norm * scale * scale} or any(a >= b for a, b in zip(ints, ints[1:]))
+        if (norms - {norm * scale * scale} or any(len(v) != width for v in ints)
+                or any(a >= b for a, b in zip(ints, ints[1:]))
                 or any(v != tuple(map(operator.neg, w)) for v, w in zip(ints, reversed(ints)))):
             raise ValueError(f"shell cache {path} is damaged")
         return Shell(label, norm, ints, scale)

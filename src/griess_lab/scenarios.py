@@ -16,7 +16,7 @@ import math
 import multiprocessing
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -772,23 +772,7 @@ def cross_validate(*, cache: DiskCache) -> VerificationReport:
 
 
 def report_dict(report: VerificationReport) -> dict:
-    return {
-        "suite": report.suite,
-        "version": report.version,
-        "seed": report.seed,
-        "results": [
-            {
-                "id": r.id,
-                "status": r.status,
-                "computed": r.computed,
-                "expected": r.expected,
-                "provenance": r.provenance,
-                "quote": r.quote,
-                "elapsed_ms": r.elapsed_ms,
-            }
-            for r in report.results
-        ],
-    }
+    return asdict(report)
 
 
 def emit_report(report: VerificationReport, format: str = "text",

@@ -176,6 +176,14 @@ class TestHeisenbergMode:
         with pytest.raises(WeightOverflowError):
             sp.heisenberg_mode(unit(24, 0), -1, family.axes[0][0])
 
+    def test_zero_direction_still_checks_the_weight(self, family):
+        # h = 0 creates nothing, yet h(-1) on weight 2 leaves the sector
+        sp = family.space
+        zero = (0,) * 24
+        with pytest.raises(WeightOverflowError, match="weight 3"):
+            sp.heisenberg_mode(zero, -1, family.axes[0][0])
+        assert sp.heisenberg_mode(zero, -1, sp.vacuum()).is_zero()
+
     def test_commutator_scale(self, family):
         sp = family.space
         s = sp.heisenberg_mode(unit(24, 7), -2, sp.vacuum())
@@ -514,6 +522,17 @@ def _outcome(fn):
         return WeightOverflowError
 
 
+def _fock_calls(fn, *args):
+    """fn(*args) and the number of calls of each function in fock.py."""
+    profile = cProfile.Profile()
+    got = profile.runcall(fn, *args)
+    calls = collections.Counter()
+    for (path, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
+        if path.endswith("fock.py"):
+            calls[name] += ncalls
+    return got, calls
+
+
 class TestExpModesPrefilter:
     def test_apply_mode_matches_per_pair_reference(self, family, cache):
         sp = family.space
@@ -580,6 +599,15 @@ class TestIntegerKernel:
             "e^beta": lambda c: sp.exp_state(
                 rng.choice([roots[rng.randrange(len(roots))],
                             quartic[rng.randrange(len(quartic))]]), c),
+            # every kind in one state, the linear terms on several k each
+            "every kind": lambda c: (
+                sp.vacuum().scale(c)
+                + sum((sp.oscillator_state([e(k)], coeff()) for k in rng.sample(range(24), 3)),
+                      FockState())
+                + sum((sp.oscillator_state([e(k, 2)], coeff())
+                       for k in rng.sample(range(24), 3)), FockState())
+                + sp.oscillator_state([e(k_()), e(k_())], coeff())
+                + sp.exp_state(roots[rng.randrange(len(roots))], coeff()) + mixed(coeff())),
         }
         rights = [
             sp.vacuum().scale(coeff()),
@@ -610,19 +638,25 @@ class TestIntegerKernel:
 
     def test_axis_product_is_one_quadratic_pass(self, family):
         # the 24 quadratic terms of omega_M/16 go through one batched pass,
-        # and an axis has no eps_k(-1), eps_k(-2) or eps_k(-1)e^gamma term
-        # that would call the single Heisenberg mode
+        # which hands its landings to the Heisenberg action once per m, and
+        # an axis has no eps_k(-1)e^gamma term
         sp = family.space
         axis = family.axis(0, 0)
         sp.griess_product(axis, axis)
-        profile = cProfile.Profile()
-        profile.runcall(sp.griess_product, axis, axis)
-        calls = collections.Counter()
-        for (path, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
-            if path.endswith("fock.py"):
-                calls[name] += ncalls
+        calls = _fock_calls(sp.griess_product, axis, axis)[1]
         assert calls["_quad_modes"] == 1
-        assert calls["_heisenberg"] == 0 and calls["_left_mode"] == 0
+        assert calls["_heisenberg"] == 5 and calls["_mixed_mode"] == 0
+
+    def test_linear_left_terms_act_in_two_calls(self, family):
+        # all 24 eps_k(-1)1 terms act along one direction and all 24
+        # eps_k(-2)1 terms along another
+        sp = family.space
+        axis = family.axis(0, 0)
+        a = sum((sp.oscillator_state([(unit(24, k), j)], Q(k + 1, j) + ZETA * (j - k))
+                 for k in range(24) for j in (1, 2)), FockState())
+        got, calls = _fock_calls(sp.apply_mode, a, 1, axis)
+        assert calls["_heisenberg"] == 2 and calls["_mixed_mode"] == 0
+        assert not got.is_zero() and got == _reference_apply_mode(sp, a, 1, axis)
 
     @pytest.mark.parametrize("osc", [((1, 0), (1, 1), (1, 2)), ((1, 0), (2, 1)), ((2, 0),)],
                              ids=["e0e1e2", "e0e1(-2)", "e0(-2)e^gamma"])
@@ -799,8 +833,9 @@ def _unfiltered_heisenberg(space, h, m, s):
     """heisenberg_mode(h, m, s) with _heisenberg run over every term of s."""
     hn, dh = _common_scale(h)
     out = _Accumulator()
-    space._heisenberg(out, {k: x for k, x in enumerate(hn) if x}, m,
-                      list(s._nums.items()), 1, 0, 1)
+    direction = {k: (x, 0) for k, x in enumerate(hn) if x}
+    space._heisenberg(out, m, [(osc, g2, pair, direction, 1)
+                               for (osc, g2), pair in s._nums.items()])
     return out.state(s._den * dh * 2)
 
 

@@ -592,7 +592,7 @@ class TestDiskCache:
         assert shell(K, 2, cache) == shell(K, 2)
 
     @pytest.mark.parametrize("damage", ["norm", "order", "dropped",
-                                        "zero-denominator"])
+                                        "zero-denominator", "short-rows"])
     def test_damaged_file_is_recomputed(self, tmp_path, e8, damage):
         cache = DiskCache(str(tmp_path))
         good = shell(e8, 2, cache)
@@ -606,6 +606,9 @@ class TestDiskCache:
             body[3], body[4] = body[4], body[3]
         elif damage == "zero-denominator":
             header = header.replace(" E8 2 ", " E8 1/0 ")
+        elif damage == "short-rows":
+            # still of norm 2, sorted and closed under negation
+            body[0], body[-1] = "-2 -2", "2 2"
         else:
             del body[7]
             header = header.replace(" 240 ", " 239 ")
